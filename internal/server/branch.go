@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"errors"
 	"net/http"
 	"time"
@@ -57,7 +58,7 @@ func (s *Server) handleCreateBranch(w http.ResponseWriter, r *http.Request) {
 		// means the dataset's latest version.
 		At string `json:"at"`
 	}
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -93,13 +94,14 @@ func (s *Server) handleDeleteBranch(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// conflictJSON is one record-level conflict in a merge report.
+// conflictJSON is one record-level conflict in a merge report. Each side
+// that exists is a one-row row set, encoded by the row codec.
 type conflictJSON struct {
-	Key    string  `json:"key"`
-	Kind   string  `json:"kind"`
-	Base   [][]any `json:"base,omitempty"`
-	Ours   [][]any `json:"ours,omitempty"`
-	Theirs [][]any `json:"theirs,omitempty"`
+	Key    string          `json:"key"`
+	Kind   string          `json:"kind"`
+	Base   json.RawMessage `json:"base,omitempty"`
+	Ours   json.RawMessage `json:"ours,omitempty"`
+	Theirs json.RawMessage `json:"theirs,omitempty"`
 }
 
 func conflictsToJSON(conflicts []orpheusdb.MergeConflict) []conflictJSON {
@@ -107,13 +109,13 @@ func conflictsToJSON(conflicts []orpheusdb.MergeConflict) []conflictJSON {
 	for _, c := range conflicts {
 		cj := conflictJSON{Key: c.Key, Kind: c.Kind()}
 		if c.Base != nil {
-			cj.Base = encodeRows([]orpheusdb.Row{c.Base.Row})
+			cj.Base = appendRows(nil, []orpheusdb.Row{c.Base.Row})
 		}
 		if c.Ours != nil {
-			cj.Ours = encodeRows([]orpheusdb.Row{c.Ours.Row})
+			cj.Ours = appendRows(nil, []orpheusdb.Row{c.Ours.Row})
 		}
 		if c.Theirs != nil {
-			cj.Theirs = encodeRows([]orpheusdb.Row{c.Theirs.Row})
+			cj.Theirs = appendRows(nil, []orpheusdb.Row{c.Theirs.Row})
 		}
 		out = append(out, cj)
 	}
@@ -135,7 +137,7 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 		Policy  string `json:"policy"`
 		Message string `json:"message"`
 	}
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		writeError(w, err)
 		return
 	}

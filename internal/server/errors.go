@@ -2,6 +2,9 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
+	"log/slog"
 	"net/http"
 	"strings"
 )
@@ -31,6 +34,11 @@ func badRequest(msg string) *apiError {
 func classify(err error) *apiError {
 	if ae, ok := err.(*apiError); ok {
 		return ae
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return &apiError{Status: http.StatusRequestEntityTooLarge, Code: "payload_too_large",
+			Message: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)}
 	}
 	msg := err.Error()
 	switch {
@@ -63,9 +71,13 @@ func writeError(w http.ResponseWriter, err error) {
 	_ = json.NewEncoder(w).Encode(map[string]*apiError{"error": ae})
 }
 
-// writeJSON emits a success body.
+// writeJSON emits a small metadata body (row-bearing responses go through
+// rowStream). The status is already sent when encoding starts, so a value
+// encoding/json refuses or a failed write can only be logged.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	if err := json.NewEncoder(w).Encode(v); err != nil {
+		slog.Error("server: writing response body", "status", status, "err", err)
+	}
 }

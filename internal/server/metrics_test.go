@@ -287,6 +287,8 @@ func TestMetricsExposition(t *testing.T) {
 		{"orpheus_sql_execute_seconds_count", nil},
 		{"orpheus_cache_hits_total", nil},
 		{"orpheus_cache_misses_total", nil},
+		{"orpheus_page_faults_total", nil},
+		{"orpheus_page_evictions_total", nil},
 		{"orpheus_wal_enabled", nil},
 		{"orpheus_engine_rows_scanned_total", nil},
 		{"orpheus_datasets", nil},
@@ -373,7 +375,7 @@ func TestSlowTraceCaptured(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	io.Copy(io.Discard, resp.Body)
+	bodyBytes, _ := io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	traceID := resp.Header.Get("X-Orpheus-Trace")
 	if traceID == "" {
@@ -422,6 +424,34 @@ func TestSlowTraceCaptured(t *testing.T) {
 		if !found {
 			t.Fatalf("checkout.cache missing child %q (children %+v)", child, cache.Children)
 		}
+	}
+
+	// The response encode and the request decode are spans of their own,
+	// directly under the request's root.
+	childOfRoot := func(tr *obs.TraceData, name string) *obs.SpanData {
+		for i := range tr.Root.Children {
+			if tr.Root.Children[i].Name == name {
+				return &tr.Root.Children[i]
+			}
+		}
+		t.Fatalf("trace %q: no %s span under the root: %+v", tr.Name, name, tr.Root)
+		return nil
+	}
+	encode := childOfRoot(trace, "checkout.encode")
+	if encode.Attrs["rows"] != "2" || encode.Attrs["bytes"] != strconv.FormatInt(bodyBytes, 10) {
+		t.Fatalf("checkout.encode attrs %v, want rows=2 bytes=%d", encode.Attrs, bodyBytes)
+	}
+	var commit *obs.TraceData
+	for i := range snap.Slow {
+		if snap.Slow[i].Name == "POST /api/v1/datasets/{name}/commit" {
+			commit = &snap.Slow[i]
+		}
+	}
+	if commit == nil {
+		t.Fatal("commit trace not in slow ring")
+	}
+	if decode := childOfRoot(commit, "commit.decode"); decode.Attrs["rows"] != "2" || decode.Attrs["bytes"] == "" {
+		t.Fatalf("commit.decode attrs %v, want rows=2 and a byte count", decode.Attrs)
 	}
 }
 

@@ -59,8 +59,8 @@ package server
 import (
 	"cmp"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -267,12 +267,19 @@ func filterTraces(in []obs.TraceData, keep func(obs.TraceData) bool) []obs.Trace
 	return out
 }
 
-// decodeBody parses a JSON request body with numeric fidelity preserved
-// (json.Number), enforcing a sane size cap.
-func decodeBody(r *http.Request, dst any) error {
-	dec := json.NewDecoder(io.LimitReader(r.Body, 64<<20))
+// maxBodyBytes caps a request body; a larger one is refused with 413.
+const maxBodyBytes = 64 << 20
+
+// decodeBody parses a JSON request body of at most maxBodyBytes with numeric
+// fidelity preserved (json.Number).
+func decodeBody(w http.ResponseWriter, r *http.Request, dst any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.UseNumber()
 	if err := dec.Decode(dst); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return err
+		}
 		return badRequest("invalid JSON body: " + err.Error())
 	}
 	return nil
@@ -469,7 +476,7 @@ func (s *Server) handleInitDataset(w http.ResponseWriter, r *http.Request) {
 		PrimaryKey []string     `json:"primaryKey"`
 		Model      string       `json:"model"`
 	}
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -515,50 +522,60 @@ func (s *Server) handleDropDataset(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
+// commitRequest is the body of POST .../commit. Rows stays raw: scanRows
+// types each cell by its column, so nothing is boxed in between.
+type commitRequest struct {
+	Columns []columnJSON    `json:"columns"`
+	Rows    json.RawMessage `json:"rows"`
+	Parents []int64         `json:"parents"`
+	Message string          `json:"message"`
+}
+
+// decodeCommit reads a commit body and scans its rows under the schema the
+// body carries or, without one, the dataset's. The "commit.decode" span
+// covers reading and validating the body and scanning the rows.
+func decodeCommit(w http.ResponseWriter, r *http.Request, d *orpheusdb.Dataset) (req commitRequest, cols []orpheusdb.Column, rows []orpheusdb.Row, err error) {
+	_, span := obs.StartSpan(r.Context(), "commit.decode")
+	defer func() {
+		span.SetAttr("rows", strconv.Itoa(len(rows)))
+		span.SetAttr("bytes", strconv.Itoa(len(req.Rows)))
+		span.End()
+	}()
+	if err := decodeBody(w, r, &req); err != nil {
+		return req, nil, nil, err
+	}
+	cols = d.Columns()
+	if len(req.Columns) > 0 {
+		if cols, err = decodeColumns(req.Columns); err != nil {
+			return req, nil, nil, badRequest(err.Error())
+		}
+	}
+	if rows, err = scanRows(req.Rows, cols); err != nil {
+		return req, nil, nil, badRequest(err.Error())
+	}
+	return req, cols, rows, nil
+}
+
 func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
 	d, err := s.store.Dataset(r.PathValue("name"))
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	var req struct {
-		Columns []columnJSON `json:"columns"`
-		Rows    [][]any      `json:"rows"`
-		Parents []int64      `json:"parents"`
-		Message string       `json:"message"`
-	}
-	if err := decodeBody(r, &req); err != nil {
+	req, cols, rows, err := decodeCommit(w, r, d)
+	if err != nil {
 		writeError(w, err)
 		return
 	}
 	var vid orpheusdb.VersionID
 	if len(req.Columns) > 0 {
-		cols, err := decodeColumns(req.Columns)
-		if err != nil {
-			writeError(w, badRequest(err.Error()))
-			return
-		}
-		rows, err := decodeRows(req.Rows, cols)
-		if err != nil {
-			writeError(w, badRequest(err.Error()))
-			return
-		}
 		vid, err = d.CommitWithSchemaCtx(r.Context(), cols, rows, versionIDs(req.Parents), req.Message)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
 	} else {
-		rows, err := decodeRows(req.Rows, d.Columns())
-		if err != nil {
-			writeError(w, badRequest(err.Error()))
-			return
-		}
 		vid, err = d.CommitCtx(r.Context(), rows, versionIDs(req.Parents), req.Message)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
+	}
+	if err != nil {
+		writeError(w, err)
+		return
 	}
 	writeJSON(w, http.StatusCreated, map[string]any{
 		"dataset": d.Name(),
@@ -638,12 +655,29 @@ func (s *Server) handleCheckout(w http.ResponseWriter, r *http.Request) {
 	token := versionToken(d.Name(), vids, gen)
 	w.Header().Set("X-Orpheus-Version", token)
 	w.Header().Set("ETag", token)
-	writeJSON(w, http.StatusOK, map[string]any{
-		"dataset":  d.Name(),
-		"versions": int64IDs(vids),
-		"columns":  encodeColumns(cols),
-		"rows":     encodeRows(rows),
-	})
+	// Encoding runs after the store has released the dataset's read lock and
+	// streams from the shared, immutable rows, so a slow client holds neither
+	// the lock nor a copy of the version.
+	_, span := obs.StartSpan(r.Context(), "checkout.encode")
+	n, _ := writeCheckout(w, r, d.Name(), vids, cols, rows) // a failed write means the client is gone
+	span.SetAttr("rows", strconv.Itoa(len(rows)))
+	span.SetAttr("bytes", strconv.FormatInt(n, 10))
+	span.End()
+}
+
+// writeCheckout streams a checkout body and returns the bytes written.
+func writeCheckout(w http.ResponseWriter, r *http.Request, dataset string, vids []orpheusdb.VersionID, cols []orpheusdb.Column, rows []orpheusdb.Row) (int64, error) {
+	e := newRowStream(w, r)
+	e.buf = append(e.buf, `{"columns":`...)
+	e.buf = appendColumns(e.buf, cols)
+	e.buf = append(e.buf, `,"dataset":`...)
+	e.buf = appendString(e.buf, dataset)
+	e.buf = append(e.buf, `,"rows":`...)
+	e.rows(rows)
+	e.buf = append(e.buf, `,"versions":`...)
+	e.buf = appendInts(e.buf, vids)
+	e.buf = append(e.buf, "}\n"...)
+	return e.finish()
 }
 
 func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
@@ -664,14 +698,21 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"dataset": d.Name(),
-		"a":       a,
-		"b":       b,
-		"columns": encodeColumns(cols),
-		"onlyA":   encodeRows(onlyA),
-		"onlyB":   encodeRows(onlyB),
-	})
+	e := newRowStream(w, r)
+	e.buf = append(e.buf, `{"a":`...)
+	e.buf = strconv.AppendInt(e.buf, int64(a), 10)
+	e.buf = append(e.buf, `,"b":`...)
+	e.buf = strconv.AppendInt(e.buf, int64(b), 10)
+	e.buf = append(e.buf, `,"columns":`...)
+	e.buf = appendColumns(e.buf, cols)
+	e.buf = append(e.buf, `,"dataset":`...)
+	e.buf = appendString(e.buf, d.Name())
+	e.buf = append(e.buf, `,"onlyA":`...)
+	e.rows(onlyA)
+	e.buf = append(e.buf, `,"onlyB":`...)
+	e.rows(onlyB)
+	e.buf = append(e.buf, "}\n"...)
+	e.finish()
 }
 
 // handleHeat serves the dataset's access-heat table: the ?top= hottest
@@ -856,7 +897,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		Mu    json.Number `json:"mu"`
 		Naive bool        `json:"naive"`
 	}
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -957,7 +998,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		SQL    string `json:"sql"`
 		Script bool   `json:"script"`
 	}
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -976,15 +1017,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	cols := res.Cols
-	if cols == nil {
-		cols = []string{}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"columns":  cols,
-		"rows":     encodeRows(res.Rows),
-		"affected": res.Affected,
-	})
+	e := newRowStream(w, r)
+	e.buf = append(e.buf, `{"affected":`...)
+	e.buf = strconv.AppendInt(e.buf, int64(res.Affected), 10)
+	e.buf = append(e.buf, `,"columns":`...)
+	e.buf = appendStrings(e.buf, res.Cols)
+	e.buf = append(e.buf, `,"rows":`...)
+	e.rows(res.Rows)
+	e.buf = append(e.buf, "}\n"...)
+	e.finish()
 }
 
 func (s *Server) handleListUsers(w http.ResponseWriter, r *http.Request) {
@@ -999,7 +1040,7 @@ func (s *Server) handleCreateUser(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Name string `json:"name"`
 	}
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		writeError(w, err)
 		return
 	}

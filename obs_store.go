@@ -112,6 +112,8 @@ func (s *Store) registerCollectors() {
 	gauge("orpheus_cache_entries", "Entries resident in the checkout cache.", func() int64 { return int64(s.cache.Stats().Entries) })
 	gauge("orpheus_cache_bytes", "Bytes resident in the checkout cache.", func() int64 { return s.cache.Stats().Bytes })
 	gauge("orpheus_cache_budget_bytes", "Checkout-cache byte budget.", func() int64 { return s.cache.Stats().Budget })
+	counter("orpheus_page_faults_total", "Record pages the disk backend's pager read in from the store file.", stats.PageFaults.Load)
+	counter("orpheus_page_evictions_total", "Record pages the pager dropped to stay within its budget.", stats.PageEvictions.Load)
 
 	gauge("orpheus_wal_enabled", "1 when a write-ahead log is attached.", func() int64 {
 		if s.WALEnabled() {
