@@ -1,10 +1,13 @@
 package orpheusdb
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"orpheusdb/internal/wal"
 )
 
 // The cache invalidation tests prove the tentpole invariant of the checkout
@@ -288,4 +291,90 @@ func TestRawSQLWritesFlushCache(t *testing.T) {
 	if st := store.CacheStats(); st.Entries != 0 {
 		t.Fatalf("DML left %d cache entries resident", st.Entries)
 	}
+}
+
+// TestOptimizeKeepsVersionTokens: repartitioning changes where rows live, not
+// what any version contains, so a token handed out before a manual Optimize
+// still validates after it — on the primary, and on a follower that applied
+// the shipped optimize-migrate records — and the rows behind it are the same.
+func TestOptimizeKeepsVersionTokens(t *testing.T) {
+	primary := NewStore()
+	if err := primary.EnableWAL(WALConfig{Dir: t.TempDir(), Policy: FsyncOff}); err != nil {
+		t.Fatal(err)
+	}
+	defer crash(primary)
+	ds, err := primary.Init("tok", protCols(), InitOptions{Model: PartitionedRlist, PrimaryKey: []string{"id"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vids := growChain(t, ds, 12, 6)
+	follower, err := NewStoreFromSnapshot(primary.ReplicationSnapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fds, err := follower.Dataset("tok")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	type held struct {
+		gen  uint64
+		rows string
+	}
+	take := func(d *Dataset) map[VersionID]held {
+		out := make(map[VersionID]held, len(vids))
+		for _, v := range vids {
+			_, rows, gen, err := d.CheckoutWithToken(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[v] = held{gen, fmt.Sprint(rows)}
+		}
+		return out
+	}
+	check := func(side string, d *Dataset, before map[VersionID]held) {
+		for v, h := range take(d) {
+			if h.gen != before[v].gen {
+				t.Errorf("%s: version %d token died across optimize (generation %d -> %d)", side, v, before[v].gen, h.gen)
+			}
+			if h.rows != before[v].rows {
+				t.Errorf("%s: version %d rows changed across optimize", side, v)
+			}
+		}
+	}
+	heldPrimary, heldFollower := take(ds), take(fds)
+
+	from := primary.WALStatus().AppliedLSN
+	rep, err := ds.Optimize(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Partitions < 2 {
+		t.Fatalf("optimize left %d partitions; the test needs versions to move", rep.Partitions)
+	}
+	check("primary", ds, heldPrimary)
+
+	it, err := primary.OpenWALStream(from)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer it.Close()
+	shipped := 0
+	for {
+		lsn, rec, _, err := it.Next()
+		if errors.Is(err, wal.ErrNoRecord) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := follower.ApplyReplicated(lsn, rec); err != nil {
+			t.Fatal(err)
+		}
+		shipped++
+	}
+	if shipped != rep.Batches {
+		t.Fatalf("shipped %d records for a %d-batch optimize", shipped, rep.Batches)
+	}
+	check("follower", fds, heldFollower)
 }

@@ -18,7 +18,7 @@
 //	                                                      three-way merge (refs are version ids or branch names)
 //	ls                                                    list CVDs
 //	drop <cvd>
-//	optimize <cvd> [-gamma 2.0] [-naive]                  run the partition optimizer
+//	optimize <cvd> [-gamma 2.0] [-mu 1.5]                 run the partition optimizer
 //	run [-q <sql> | -s <script.sql>]                      execute SQL (VERSION ... OF CVD supported)
 //	create_user <name> | whoami | config -u <user>
 //	explain <cvd> -v <vid>                                Table 1 SQL translations
@@ -520,13 +520,12 @@ func cmdOptimize(store *orpheusdb.Store, args []string) error {
 	pos, args := splitLeading(args)
 	fs := flag.NewFlagSet("optimize", flag.ContinueOnError)
 	gamma := fs.Float64("gamma", 2.0, "storage threshold as a multiple of |R|")
-	naive := fs.Bool("naive", false, "rebuild partitions from scratch")
 	mu := fs.Float64("mu", 0, "tolerance factor: only migrate when Cavg > mu*C*avg")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if len(pos) != 1 {
-		return fmt.Errorf("usage: optimize <cvd> [-gamma 2.0] [-mu 1.5] [-naive]")
+		return fmt.Errorf("usage: optimize <cvd> [-gamma 2.0] [-mu 1.5]")
 	}
 	d, err := store.Dataset(pos[0])
 	if err != nil {
@@ -542,23 +541,18 @@ func cmdOptimize(store *orpheusdb.Store, args []string) error {
 				m.Cavg, m.BestCavg, *mu)
 			return nil
 		}
-		res := m.Optimize
+		res := m.Migration
 		fmt.Printf("migrated: Cavg %.0f -> %.0f records, partitions=%d, migrate=%v\n",
-			m.Cavg, res.EstCheckout, res.Partitions, res.MigrationTime)
+			m.Cavg, res.EstCheckout, res.Partitions, res.MigrateTime)
 		return nil
 	}
-	var res *core.OptimizeResult
-	if *naive {
-		res, err = d.OptimizeNaive(*gamma)
-	} else {
-		res, err = d.Optimize(*gamma)
-	}
+	res, err := d.Optimize(*gamma)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("lyresplit: delta=%.4f partitions=%d estS=%d estCavg=%.0f solve=%v migrate=%v (moved %d records)\n",
 		res.Delta, res.Partitions, res.EstStorage, res.EstCheckout,
-		res.SolveTime, res.MigrationTime, res.Migration.Plan.TotalRecords)
+		res.SolveTime, res.MigrateTime, res.RowsMoved)
 	return nil
 }
 

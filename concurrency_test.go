@@ -356,8 +356,9 @@ func checkoutFingerprint(d *Dataset, v VersionID) (string, error) {
 	return strings.Join(parts, "\n"), nil
 }
 
-// TestOptimizerMigrationUnderTraffic hammers the background optimizer:
-// drift-triggered and manual migrations rewrite the partition layout while
+// TestOptimizerMigrationUnderTraffic hammers repartitioning from every
+// entrance at once: drift-triggered, Trigger and direct Dataset.Optimize /
+// MaintainPartitions migrations rewrite the partition layout while
 // checkouts verify version contents byte-for-byte, commits extend the
 // chain, merges fork and join branches, and cache flushes keep emptying
 // the checkout cache. Under -race this exercises the optimizer's locking
@@ -493,6 +494,21 @@ func TestOptimizerMigrationUnderTraffic(t *testing.T) {
 	run("trigger", func() error {
 		for i := 0; i < 10; i++ {
 			if _, err := o.Trigger("hot"); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+
+	run("manual", func() error {
+		// No optimizer involved: the same executor, serialized with the
+		// others by the dataset's migrateMu, checkouts running between its
+		// batches.
+		for i := 0; i < 10; i++ {
+			if _, err := d.Optimize(2); err != nil {
+				return err
+			}
+			if _, err := d.MaintainPartitions(2, 1.05); err != nil {
 				return err
 			}
 		}

@@ -28,6 +28,7 @@ func TestWALRecoveryMatrixDiskBackend(t *testing.T) {
 	t.Run("KillPoint", TestWALKillPoint)
 	t.Run("ConcurrentCommitsWithCheckpoints", TestWALConcurrentCommitsWithCheckpoints)
 	t.Run("OptimizeRecovery", TestWALOptimizeRecovery)
+	t.Run("LegacyOptimizeRecords", TestWALLegacyOptimizeRecords)
 	t.Run("BranchMergeRecovery", TestWALBranchMergeRecovery)
 	t.Run("KillPointBranchMerge", TestWALKillPointBranchMerge)
 	t.Run("KillPointOptimizeMigrate", TestWALKillPointOptimizeMigrate)

@@ -112,7 +112,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("optimize: delta=%.3f partitions=%d estCavg=%.0f records, solve=%v migrate=%v\n",
-		res.Delta, res.Partitions, res.EstCheckout, res.SolveTime, res.MigrationTime)
+		res.Delta, res.Partitions, res.EstCheckout, res.SolveTime, res.MigrateTime)
 
 	timeCheckout("after optimize")
 

@@ -1,13 +1,10 @@
 package core
 
 import (
-	"fmt"
 	"sort"
-	"time"
 
 	"orpheusdb/internal/bitmap"
 	"orpheusdb/internal/engine"
-	"orpheusdb/internal/partition"
 	"orpheusdb/internal/vgraph"
 )
 
@@ -30,8 +27,6 @@ type PartitionedModel interface {
 	WeightedCheckoutCost(freq map[vgraph.VersionID]int64) float64
 	// SetOnlineParams configures online placement (δ*, γ in records).
 	SetOnlineParams(deltaStar float64, gammaRecords int64)
-	// ApplyPartitioning migrates to the given version groups.
-	ApplyPartitioning(groups [][]vgraph.VersionID, naive bool) (*MigrationReport, error)
 	// PlanPartitionBatches plans a bounded-batch migration to the groups.
 	PlanPartitionBatches(groups [][]vgraph.VersionID, batchRows int64) ([]PartitionBatch, error)
 	// ApplyPartitionBatch executes one planned batch.
@@ -40,63 +35,7 @@ type PartitionedModel interface {
 	PartitionStatus() *PartitionStatus
 }
 
-// OptimizeResult reports one invocation of the partition optimizer.
-type OptimizeResult struct {
-	Delta         float64
-	Gamma         int64
-	Partitions    int
-	EstStorage    int64
-	EstCheckout   float64
-	Migration     *MigrationReport
-	MigrationTime time.Duration
-	SolveTime     time.Duration
-}
-
-// Optimize runs LYRESPLIT under the storage budget γ = gammaFactor·|R| and
-// migrates the CVD's partitioned model to the resulting layout (the
-// `optimize` command of Section 2.2). The CVD must use the partitioned
-// split-by-rlist model. naive selects rebuild-from-scratch migration.
-func (c *CVD) Optimize(gammaFactor float64, naive bool) (*OptimizeResult, error) {
-	pm, ok := c.model.(PartitionedModel)
-	if !ok {
-		return nil, fmt.Errorf("core: %s: optimize requires the %s model (have %s)",
-			c.name, PartitionedRlistModel, c.model.Kind())
-	}
-	g, err := c.vm.graph()
-	if err != nil {
-		return nil, err
-	}
-	if g.Len() == 0 {
-		return nil, fmt.Errorf("core: %s: nothing to optimize", c.name)
-	}
-	totalRecords := int64(c.rm.nextR - 1)
-	gamma := int64(gammaFactor * float64(totalRecords))
-	ls := &partition.LyreSplit{Tree: g.ToTree()}
-	t0 := time.Now()
-	res, err := ls.Solve(gamma)
-	if err != nil {
-		return nil, err
-	}
-	solveTime := time.Since(t0)
-	t1 := time.Now()
-	report, err := pm.ApplyPartitioning(res.Groups, naive)
-	if err != nil {
-		return nil, err
-	}
-	pm.SetOnlineParams(res.Delta, gamma)
-	return &OptimizeResult{
-		Delta:         res.Delta,
-		Gamma:         gamma,
-		Partitions:    len(res.Groups),
-		EstStorage:    res.EstStorage,
-		EstCheckout:   res.EstCheckout,
-		Migration:     report,
-		MigrationTime: time.Since(t1),
-		SolveTime:     solveTime,
-	}, nil
-}
-
-// reloadPartitionedState rebuilds the partitioned model's caches from its
+// reload rebuilds the partitioned model's caches from its
 // tables after a database reload.
 func (m *partitionedRlist) reload(cols []engine.Column) error {
 	m.cols = dataColumns(cols)
@@ -159,55 +98,4 @@ func (m *partitionedRlist) reload(cols []engine.Column) error {
 	}
 	m.totalRecords = m.countMaxRid()
 	return nil
-}
-
-// MaintenanceResult reports one MaintainPartitions check.
-type MaintenanceResult struct {
-	// Cavg and BestCavg are the current and LYRESPLIT-optimal checkout
-	// costs in records.
-	Cavg, BestCavg float64
-	// Migrated reports whether the tolerance factor was exceeded and a
-	// migration ran; Optimize carries its details.
-	Migrated bool
-	Optimize *OptimizeResult
-}
-
-// MaintainPartitions implements the periodic check of Section 4.3: compute
-// the current checkout cost Cavg of the partitioned layout, the best cost
-// C*avg LYRESPLIT can reach under γ = gammaFactor·|R|, and migrate when
-// Cavg > µ·C*avg. The OrpheusDB backend calls this after commits (or on the
-// `optimize` command's schedule).
-func (c *CVD) MaintainPartitions(gammaFactor, mu float64, naive bool) (*MaintenanceResult, error) {
-	pm, ok := c.model.(PartitionedModel)
-	if !ok {
-		return nil, fmt.Errorf("core: %s: maintenance requires the %s model (have %s)",
-			c.name, PartitionedRlistModel, c.model.Kind())
-	}
-	g, err := c.vm.graph()
-	if err != nil {
-		return nil, err
-	}
-	if g.Len() == 0 {
-		return &MaintenanceResult{}, nil
-	}
-	totalRecords := int64(c.rm.nextR - 1)
-	gamma := int64(gammaFactor * float64(totalRecords))
-	ls := &partition.LyreSplit{Tree: g.ToTree()}
-	res, err := ls.Solve(gamma)
-	if err != nil {
-		return nil, err
-	}
-	out := &MaintenanceResult{Cavg: pm.CheckoutCost(), BestCavg: res.EstCheckout}
-	// Keep δ* and γ fresh for online placement even when no migration runs.
-	pm.SetOnlineParams(res.Delta, gamma)
-	if out.BestCavg <= 0 || out.Cavg <= mu*out.BestCavg {
-		return out, nil
-	}
-	opt, err := c.Optimize(gammaFactor, naive)
-	if err != nil {
-		return nil, err
-	}
-	out.Migrated = true
-	out.Optimize = opt
-	return out, nil
 }

@@ -52,6 +52,21 @@ func branchyCVD(t *testing.T, versions int) (*CVD, []vgraph.VersionID) {
 	return c, vids
 }
 
+// repartition plans under γ = gammaFactor·|R| and runs the whole plan in
+// place, returning it with the rows it moved.
+func repartition(t *testing.T, c *CVD, gammaFactor float64) (*RepartitionPlan, int64) {
+	t.Helper()
+	plan, err := c.PlanRepartition(gammaFactor, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved, err := c.ApplyRepartition(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan, moved
+}
+
 func TestOptimizePartitionsAndPreservesCheckouts(t *testing.T) {
 	c, vids := branchyCVD(t, 40)
 	pm := c.Model().(PartitionedModel)
@@ -67,15 +82,12 @@ func TestOptimizePartitionsAndPreservesCheckouts(t *testing.T) {
 		}
 		before[v] = len(rows)
 	}
-	res, err := c.Optimize(2.0, false)
-	if err != nil {
-		t.Fatal(err)
+	res, moved := repartition(t, c, 2.0)
+	if res.Groups < 2 {
+		t.Fatalf("optimize produced %d partitions", res.Groups)
 	}
-	if res.Partitions < 2 {
-		t.Fatalf("optimize produced %d partitions", res.Partitions)
-	}
-	if pm.NumPartitions() != res.Partitions {
-		t.Fatalf("physical partitions %d != plan %d", pm.NumPartitions(), res.Partitions)
+	if pm.NumPartitions() != res.Groups {
+		t.Fatalf("physical partitions %d != plan %d", pm.NumPartitions(), res.Groups)
 	}
 	// Every checkout is unchanged.
 	for _, v := range vids {
@@ -91,38 +103,19 @@ func TestOptimizePartitionsAndPreservesCheckouts(t *testing.T) {
 	if pm.StorageRecords() > res.Gamma {
 		t.Fatalf("S = %d exceeds γ = %d", pm.StorageRecords(), res.Gamma)
 	}
+	// A completed plan hands its δ* and γ to online placement.
+	if st := pm.PartitionStatus(); st.DeltaStar != res.Delta || st.GammaRecords != res.Gamma {
+		t.Fatalf("online params (%g, %d) not the plan's (%g, %d)", st.DeltaStar, st.GammaRecords, res.Delta, res.Gamma)
+	}
 	// A second optimize at the same budget is a near no-op.
-	res2, err := c.Optimize(2.0, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Migration.Plan.TotalRecords > res.Migration.Plan.TotalRecords {
-		t.Fatal("re-optimize moved more data than the first")
-	}
-}
-
-func TestOptimizeNaiveMovesMore(t *testing.T) {
-	cSmart, _ := branchyCVD(t, 30)
-	cNaive, _ := branchyCVD(t, 30)
-	smart, err := cSmart.Optimize(2.0, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	naive, err := cNaive.Optimize(2.0, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if smart.Migration.Plan.TotalRecords > naive.Migration.Plan.TotalRecords {
-		t.Fatalf("intelligent migration moved %d records, naive %d",
-			smart.Migration.Plan.TotalRecords, naive.Migration.Plan.TotalRecords)
+	if _, moved2 := repartition(t, c, 2.0); moved2 > moved {
+		t.Fatalf("re-optimize moved %d rows, the first only %d", moved2, moved)
 	}
 }
 
 func TestOnlinePlacementAfterOptimize(t *testing.T) {
 	c, vids := branchyCVD(t, 30)
-	if _, err := c.Optimize(1.5, false); err != nil {
-		t.Fatal(err)
-	}
+	repartition(t, c, 1.5)
 	pm := c.Model().(PartitionedModel)
 
 	// With a low δ*, a commit whose overlap with its parent exceeds δ*·|R|
@@ -191,7 +184,7 @@ func TestOptimizeRequiresPartitionedModel(t *testing.T) {
 	if _, err := c.Commit([]engine.Row{protRow("A", "B", 1, 2, 3)}, nil, "v1"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Optimize(2.0, false); err == nil {
+	if _, err := c.PlanRepartition(2.0, 0); err == nil {
 		t.Fatal("optimize on non-partitioned model accepted")
 	}
 }
@@ -202,16 +195,14 @@ func TestOptimizeEmptyCVD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Optimize(2.0, false); err == nil {
+	if _, err := c.PlanRepartition(2.0, 0); err == nil {
 		t.Fatal("optimize of empty CVD accepted")
 	}
 }
 
 func TestPartitionedReloadKeepsLayout(t *testing.T) {
 	c, vids := branchyCVD(t, 25)
-	if _, err := c.Optimize(2.0, false); err != nil {
-		t.Fatal(err)
-	}
+	repartition(t, c, 2.0)
 	pm := c.Model().(PartitionedModel)
 	wantParts := pm.NumPartitions()
 
@@ -247,9 +238,7 @@ func TestCheckoutCostDropsAfterOptimize(t *testing.T) {
 	c, _ := branchyCVD(t, 50)
 	pm := c.Model().(PartitionedModel)
 	before := pm.CheckoutCost()
-	if _, err := c.Optimize(2.0, false); err != nil {
-		t.Fatal(err)
-	}
+	repartition(t, c, 2.0)
 	after := pm.CheckoutCost()
 	if after >= before {
 		t.Fatalf("Cavg did not drop: %.0f -> %.0f", before, after)
@@ -262,12 +251,15 @@ func TestOptimizeWeighted(t *testing.T) {
 	if len(freq) != len(vids) {
 		t.Fatalf("weights for %d versions, want %d", len(freq), len(vids))
 	}
-	res, err := c.OptimizeWeighted(2.0, freq, false)
+	plan, err := c.PlanRepartitionWeighted(2.0, freq, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Partitions < 1 {
+	if plan.Groups < 1 {
 		t.Fatal("no partitions")
+	}
+	if _, err := c.ApplyRepartition(plan); err != nil {
+		t.Fatal(err)
 	}
 	// All versions remain checkable.
 	for _, v := range vids {
@@ -304,7 +296,7 @@ func TestOptimizeWeightedRequiresPartitionedModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.OptimizeWeighted(2.0, nil, false); err == nil {
+	if _, err := c.PlanRepartitionWeighted(2.0, nil, 0); err == nil {
 		t.Fatal("weighted optimize on plain model accepted")
 	}
 }
@@ -312,23 +304,26 @@ func TestOptimizeWeightedRequiresPartitionedModel(t *testing.T) {
 func TestMaintainPartitions(t *testing.T) {
 	c, vids := branchyCVD(t, 40)
 	// Fresh CVD: everything in one partition, so Cavg far exceeds the best.
-	res, err := c.MaintainPartitions(2.0, 1.2, false)
+	res, err := c.PlanMaintenance(2.0, 1.2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Migrated {
-		t.Fatalf("expected migration: Cavg=%.0f best=%.0f", res.Cavg, res.BestCavg)
+	if len(res.Batches) == 0 {
+		t.Fatalf("expected migration: Cavg=%.0f best=%.0f", res.Cavg, res.EstCheckout)
+	}
+	if _, err := c.ApplyRepartition(res); err != nil {
+		t.Fatal(err)
 	}
 	// Immediately after, the layout is within tolerance.
-	res2, err := c.MaintainPartitions(2.0, 1.2, false)
+	res2, err := c.PlanMaintenance(2.0, 1.2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Migrated {
+	if len(res2.Batches) != 0 {
 		t.Fatal("second maintenance should be a no-op")
 	}
-	if res2.Cavg > 1.2*res2.BestCavg+1e-6 {
-		t.Fatalf("tolerance violated after migration: %.0f vs %.0f", res2.Cavg, res2.BestCavg)
+	if res2.Cavg > 1.2*res2.EstCheckout+1e-6 {
+		t.Fatalf("tolerance violated after migration: %.0f vs %.0f", res2.Cavg, res2.EstCheckout)
 	}
 	for _, v := range vids {
 		if _, err := c.Checkout(v); err != nil {
@@ -343,7 +338,7 @@ func TestMaintainPartitionsRequiresModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.MaintainPartitions(2.0, 1.5, false); err == nil {
+	if _, err := c.PlanMaintenance(2.0, 1.5, 0); err == nil {
 		t.Fatal("maintenance on plain model accepted")
 	}
 }

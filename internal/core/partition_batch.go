@@ -488,45 +488,33 @@ func (m *partitionedRlist) PartitionStatus() *PartitionStatus {
 	return st
 }
 
-// RepartitionPlan is a planned batched migration, ready to be executed one
-// batch at a time under the dataset's critical section.
+// RepartitionPlan is a solved and planned batched migration, ready to be
+// executed one batch at a time under the dataset's critical section.
 type RepartitionPlan struct {
 	Delta       float64
 	Gamma       int64
 	Groups      int
 	EstStorage  int64
 	EstCheckout float64
-	SolveTime   time.Duration
-	Batches     []PartitionBatch
+	// Cavg is the layout's checkout cost when the plan was made — with
+	// EstCheckout, the two sides of the µ-drift check.
+	Cavg      float64
+	SolveTime time.Duration
+	// Batches is empty when a maintenance check found the layout within
+	// tolerance: there is nothing to migrate, only δ* and γ to refresh.
+	Batches []PartitionBatch
 }
 
-// Rows reports the total records the plan's batches will insert plus the gc
-// candidates they may delete — an upper bound on rows moved.
-func (p *RepartitionPlan) Rows() int64 {
-	var n int64
-	for _, b := range p.Batches {
-		if b.Members != nil && b.Kind != PartitionBatchAssign {
-			n += b.Members.Cardinality()
-		}
-	}
-	return n
-}
-
-// planBatches turns a LYRESPLIT grouping into a RepartitionPlan.
-func (c *CVD) planBatches(pm PartitionedModel, groups [][]vgraph.VersionID, batchRows int64) (*RepartitionPlan, error) {
-	batches, err := pm.PlanPartitionBatches(groups, batchRows)
-	if err != nil {
-		return nil, err
-	}
-	return &RepartitionPlan{Groups: len(groups), Batches: batches}, nil
-}
-
-// PlanRepartition solves LYRESPLIT under γ = gammaFactor·|R| and plans the
-// batched migration to the resulting grouping. Read-only.
-func (c *CVD) PlanRepartition(gammaFactor float64, batchRows int64) (*RepartitionPlan, error) {
+// solve is the one way a target layout is chosen: assert the partitioned
+// model, rebuild the version tree, hand it to run together with the storage
+// budget γ = gammaFactor·|R| in records, and plan the batched migration to
+// the grouping that comes back. With mu > 0 it is the periodic check of
+// Section 4.3: a layout whose cost is within mu times the solver's best gets
+// a plan without batches. Read-only; batchRows is PlanPartitionBatches'.
+func (c *CVD) solve(gammaFactor, mu float64, batchRows int64, run func(t *vgraph.Tree, gamma int64) (*partition.SolveResult, error)) (*RepartitionPlan, error) {
 	pm, ok := c.model.(PartitionedModel)
 	if !ok {
-		return nil, fmt.Errorf("core: %s: repartition requires the %s model (have %s)",
+		return nil, fmt.Errorf("core: %s: repartitioning requires the %s model (have %s)",
 			c.name, PartitionedRlistModel, c.model.Kind())
 	}
 	g, err := c.vm.graph()
@@ -536,52 +524,53 @@ func (c *CVD) PlanRepartition(gammaFactor float64, batchRows int64) (*Repartitio
 	if g.Len() == 0 {
 		return nil, fmt.Errorf("core: %s: nothing to repartition", c.name)
 	}
-	gamma := int64(gammaFactor * float64(int64(c.rm.nextR-1)))
-	ls := &partition.LyreSplit{Tree: g.ToTree()}
+	gamma := int64(gammaFactor * float64(c.rm.nextR-1))
 	t0 := time.Now()
-	res, err := ls.Solve(gamma)
+	res, err := run(g.ToTree(), gamma)
 	if err != nil {
 		return nil, err
 	}
-	plan, err := c.planBatches(pm, res.Groups, batchRows)
-	if err != nil {
-		return nil, err
+	plan := &RepartitionPlan{
+		Delta:       res.Delta,
+		Gamma:       gamma,
+		Groups:      len(res.Groups),
+		EstStorage:  res.EstStorage,
+		EstCheckout: res.EstCheckout,
+		Cavg:        pm.CheckoutCost(),
 	}
-	plan.Delta = res.Delta
-	plan.Gamma = gamma
-	plan.EstStorage = res.EstStorage
-	plan.EstCheckout = res.EstCheckout
+	if mu <= 0 || (plan.EstCheckout > 0 && plan.Cavg > mu*plan.EstCheckout) {
+		if plan.Batches, err = pm.PlanPartitionBatches(res.Groups, batchRows); err != nil {
+			return nil, err
+		}
+	}
 	plan.SolveTime = time.Since(t0)
 	return plan, nil
+}
+
+// lyreSplit is solve's run for the paper's uniform checkout cost: the binary
+// search on δ for the cheapest grouping within the budget.
+func lyreSplit(t *vgraph.Tree, gamma int64) (*partition.SolveResult, error) {
+	return (&partition.LyreSplit{Tree: t}).Solve(gamma)
+}
+
+// PlanRepartition solves LYRESPLIT under γ = gammaFactor·|R| and plans the
+// batched migration to the resulting grouping.
+func (c *CVD) PlanRepartition(gammaFactor float64, batchRows int64) (*RepartitionPlan, error) {
+	return c.solve(gammaFactor, 0, batchRows, lyreSplit)
+}
+
+// PlanMaintenance is PlanRepartition behind the tolerance check of Section
+// 4.3: the plan has batches only when Cavg > mu·C*avg.
+func (c *CVD) PlanMaintenance(gammaFactor, mu float64, batchRows int64) (*RepartitionPlan, error) {
+	return c.solve(gammaFactor, mu, batchRows, lyreSplit)
 }
 
 // PlanRepartitionDelta plans the batched migration for a fixed tolerance δ
 // (the partbench sweep entry; no storage budget search).
 func (c *CVD) PlanRepartitionDelta(delta float64, batchRows int64) (*RepartitionPlan, error) {
-	pm, ok := c.model.(PartitionedModel)
-	if !ok {
-		return nil, fmt.Errorf("core: %s: repartition requires the %s model (have %s)",
-			c.name, PartitionedRlistModel, c.model.Kind())
-	}
-	g, err := c.vm.graph()
-	if err != nil {
-		return nil, err
-	}
-	if g.Len() == 0 {
-		return nil, fmt.Errorf("core: %s: nothing to repartition", c.name)
-	}
-	ls := &partition.LyreSplit{Tree: g.ToTree()}
-	t0 := time.Now()
-	res := ls.Run(delta)
-	plan, err := c.planBatches(pm, res.Groups, batchRows)
-	if err != nil {
-		return nil, err
-	}
-	plan.Delta = delta
-	plan.EstStorage = res.EstStorage
-	plan.EstCheckout = res.EstCheckout
-	plan.SolveTime = time.Since(t0)
-	return plan, nil
+	return c.solve(0, 0, batchRows, func(t *vgraph.Tree, _ int64) (*partition.SolveResult, error) {
+		return &partition.SolveResult{LyreSplitResult: (&partition.LyreSplit{Tree: t}).Run(delta)}, nil
+	})
 }
 
 // ApplyPartitionBatch executes one planned batch against the live layout.
@@ -594,6 +583,34 @@ func (c *CVD) ApplyPartitionBatch(b PartitionBatch) (int64, error) {
 	return pm.ApplyPartitionBatch(b)
 }
 
+// CompleteRepartition ends a plan's execution: online placement of later
+// commits adopts the plan's δ* and γ. The pair lives in memory only — a
+// reopened store places every commit beside its best parent until the next
+// plan completes.
+func (c *CVD) CompleteRepartition(p *RepartitionPlan) {
+	if pm, ok := c.model.(PartitionedModel); ok {
+		pm.SetOnlineParams(p.Delta, p.Gamma)
+	}
+}
+
+// ApplyRepartition executes a whole plan back to back and completes it,
+// returning the rows moved. It takes no lock and logs nothing: it is for
+// callers that own the CVD outright — replay of a legacy optimize record,
+// tools, tests. A store under traffic runs the batches one critical section
+// at a time instead (Dataset.Optimize).
+func (c *CVD) ApplyRepartition(p *RepartitionPlan) (int64, error) {
+	var moved int64
+	for _, b := range p.Batches {
+		n, err := c.ApplyPartitionBatch(b)
+		if err != nil {
+			return moved, err
+		}
+		moved += n
+	}
+	c.CompleteRepartition(p)
+	return moved, nil
+}
+
 // PartitionStatus snapshots the partitioned layout; ok is false for CVDs on
 // other data models.
 func (c *CVD) PartitionStatus() (*PartitionStatus, bool) {
@@ -602,31 +619,4 @@ func (c *CVD) PartitionStatus() (*PartitionStatus, bool) {
 		return nil, false
 	}
 	return pm.PartitionStatus(), true
-}
-
-// MaintenanceCheck computes the µ-drift trigger inputs without migrating:
-// the current Cavg, the best C*avg LYRESPLIT reaches under γ = gammaFactor·|R|,
-// and the resulting grouping (so a triggered caller can plan batches from it).
-func (c *CVD) MaintenanceCheck(gammaFactor float64) (cavg, bestCavg float64, groups [][]vgraph.VersionID, err error) {
-	pm, ok := c.model.(PartitionedModel)
-	if !ok {
-		return 0, 0, nil, fmt.Errorf("core: %s: maintenance requires the %s model (have %s)",
-			c.name, PartitionedRlistModel, c.model.Kind())
-	}
-	g, err := c.vm.graph()
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	if g.Len() == 0 {
-		return 0, 0, nil, nil
-	}
-	gamma := int64(gammaFactor * float64(int64(c.rm.nextR-1)))
-	ls := &partition.LyreSplit{Tree: g.ToTree()}
-	res, err := ls.Solve(gamma)
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	// Keep δ* and γ fresh for online placement on every check.
-	pm.SetOnlineParams(res.Delta, gamma)
-	return pm.CheckoutCost(), res.EstCheckout, res.Groups, nil
 }

@@ -2,11 +2,9 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"orpheusdb/internal/bitmap"
 	"orpheusdb/internal/engine"
-	"orpheusdb/internal/partition"
 	"orpheusdb/internal/vgraph"
 )
 
@@ -37,7 +35,8 @@ type partitionedRlist struct {
 	// deltaStar and gammaRecords implement the online placement rule: a new
 	// version opens its own partition when it shares at most δ*·|R| records
 	// with its best parent and storage is under γ. Zeroes disable splitting
-	// (all versions share partition 0) until Optimize sets them.
+	// (every version joins its best parent's partition) until a repartitioning
+	// completes and sets them; they are never persisted.
 	deltaStar    float64
 	gammaRecords int64
 	totalRecords int64 // |R|: distinct records across the CVD
@@ -433,227 +432,6 @@ func (m *partitionedRlist) Drop() error {
 		return m.db.DropTable(m.mapName())
 	}
 	return nil
-}
-
-// bipartite reconstructs the version-record graph from the rlist cache,
-// sharing the immutable membership bitmaps.
-func (m *partitionedRlist) bipartite() *vgraph.Bipartite {
-	b := vgraph.NewBipartite()
-	vids := make([]vgraph.VersionID, 0, len(m.rlists))
-	for v := range m.rlists {
-		vids = append(vids, v)
-	}
-	sort.Slice(vids, func(i, j int) bool { return vids[i] < vids[j] })
-	for _, v := range vids {
-		b.AddVersionSet(v, m.rlists[v])
-	}
-	return b
-}
-
-// currentPartitioning snapshots the physical layout as a partition.Partitioning
-// (partition indexes are positions in partIDs).
-func (m *partitionedRlist) currentPartitioning() *partition.Partitioning {
-	p := &partition.Partitioning{Of: make(map[vgraph.VersionID]int, len(m.partOf))}
-	idx := make(map[int]int, len(m.partIDs))
-	for i, pid := range m.partIDs {
-		idx[pid] = i
-		set := m.partRecs[pid].Clone()
-		p.Parts = append(p.Parts, partition.Part{
-			Set:        set,
-			NumRecords: set.Cardinality(),
-		})
-	}
-	for v, pid := range m.partOf {
-		i := idx[pid]
-		p.Of[v] = i
-		p.Parts[i].Versions = append(p.Parts[i].Versions, v)
-	}
-	return p
-}
-
-// MigrationReport summarizes one physical migration.
-type MigrationReport struct {
-	Plan          *partition.MigrationPlan
-	NewPartitions int
-	RowsInserted  int64
-	RowsDeleted   int64
-}
-
-// ApplyPartitioning migrates the physical layout to the given version
-// groups. With naive=true every partition is rebuilt from scratch; otherwise
-// the intelligent plan of Section 4.3 edits the closest existing partitions.
-func (m *partitionedRlist) ApplyPartitioning(groups [][]vgraph.VersionID, naive bool) (*MigrationReport, error) {
-	b := m.bipartite()
-	next := partition.FromVersionGroups(b, groups)
-	old := m.currentPartitioning()
-	var plan *partition.MigrationPlan
-	if naive {
-		plan = partition.PlanNaiveMigration(next)
-	} else {
-		plan = partition.PlanMigration(b, old, next)
-	}
-	report := &MigrationReport{Plan: plan, NewPartitions: len(next.Parts)}
-
-	newPartIDs := make([]int, len(next.Parts))
-	newRecs := make([]*bitmap.Bitmap, len(next.Parts))
-
-	// Pass 1: plan edits against the pre-migration layout, fetching the rows
-	// each new partition is missing. The missing set is a bitmap difference
-	// new \ old — O(|delta|), which is what makes intelligent migration
-	// cheaper than rebuilds (Figures 14b/15b).
-	type pendingInsert struct {
-		step partition.MigrationStep
-		rows []engine.Row
-	}
-	var pending []pendingInsert
-	for _, step := range plan.Steps {
-		want := next.Parts[step.New].Set
-		newRecs[step.New] = want
-		var ins pendingInsert
-		ins.step = step
-		var missing *bitmap.Bitmap
-		if step.Old >= 0 {
-			oldPID := m.partIDs[step.Old]
-			newPartIDs[step.New] = oldPID
-			missing = bitmap.AndNot(want, m.partRecs[oldPID])
-		} else {
-			newPartIDs[step.New] = -1 // build from scratch
-			missing = want
-		}
-		rows, err := m.fetchRowsAcross(missing)
-		if err != nil {
-			return nil, err
-		}
-		ins.rows = rows
-		pending = append(pending, ins)
-	}
-
-	// Pass 2: apply edits.
-	for _, ins := range pending {
-		step := ins.step
-		want := newRecs[step.New]
-		if step.Old >= 0 {
-			pid := newPartIDs[step.New]
-			dt, err := m.db.MustTable(m.dataName(pid))
-			if err != nil {
-				return nil, err
-			}
-			// Delete rows the new partition no longer needs.
-			var drop []engine.RowID
-			dt.Scan(func(id engine.RowID, row engine.Row) bool {
-				if !want.Contains(row[0].I) {
-					drop = append(drop, id)
-				}
-				return true
-			})
-			dt.DeleteBatch(drop)
-			if dt.NumDeleted()*4 > dt.NumRows() {
-				if err := dt.Compact(); err != nil {
-					return nil, err
-				}
-			}
-			report.RowsDeleted += int64(len(drop))
-			for _, row := range ins.rows {
-				if _, err := dt.Insert(row); err != nil {
-					return nil, err
-				}
-			}
-			report.RowsInserted += int64(len(ins.rows))
-		} else {
-			pid, err := m.createPartition()
-			if err != nil {
-				return nil, err
-			}
-			newPartIDs[step.New] = pid
-			dt, err := m.db.MustTable(m.dataName(pid))
-			if err != nil {
-				return nil, err
-			}
-			for _, row := range ins.rows {
-				if _, err := dt.Insert(row); err != nil {
-					return nil, err
-				}
-			}
-			report.RowsInserted += int64(len(ins.rows))
-		}
-	}
-
-	// Drop old partitions with no successor.
-	for _, pid := range append([]int(nil), m.partIDs...) {
-		keep := false
-		for _, np := range newPartIDs {
-			if np == pid {
-				keep = true
-				break
-			}
-		}
-		if !keep {
-			if err := m.dropPartition(pid); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	// Rebuild versioning tables and the version→partition map.
-	m.partIDs = append([]int(nil), newPartIDs...)
-	sort.Ints(m.partIDs)
-	m.storageRecs = 0
-	for i, pid := range newPartIDs {
-		recs := newRecs[i].Clone()
-		m.partRecs[pid] = recs
-		m.storageRecs += recs.Cardinality()
-		vtName := m.versionName(pid)
-		if m.db.HasTable(vtName) {
-			if err := m.db.DropTable(vtName); err != nil {
-				return nil, err
-			}
-		}
-		vt, err := m.db.CreateTable(vtName, []engine.Column{
-			{Name: "vid", Type: engine.KindInt},
-			{Name: "rlist", Type: engine.KindBitmap},
-		})
-		if err != nil {
-			return nil, err
-		}
-		if err := vt.SetPrimaryKey("vid"); err != nil {
-			return nil, err
-		}
-		for _, v := range next.Parts[i].Versions {
-			if _, err := vt.Insert(engine.Row{
-				engine.IntValue(int64(v)),
-				engine.BitmapValue(m.rlists[v]),
-			}); err != nil {
-				return nil, err
-			}
-			m.partOf[v] = pid
-		}
-	}
-	// Rewrite the persistent map.
-	if m.db.HasTable(m.mapName()) {
-		if err := m.db.DropTable(m.mapName()); err != nil {
-			return nil, err
-		}
-	}
-	mt, err := m.db.CreateTable(m.mapName(), []engine.Column{
-		{Name: "vid", Type: engine.KindInt},
-		{Name: "pid", Type: engine.KindInt},
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := mt.SetPrimaryKey("vid"); err != nil {
-		return nil, err
-	}
-	for v, pid := range m.partOf {
-		if _, err := mt.Insert(engine.Row{
-			engine.IntValue(int64(v)),
-			engine.IntValue(int64(pid)),
-		}); err != nil {
-			return nil, err
-		}
-	}
-	m.totalRecords = m.countMaxRid()
-	return report, nil
 }
 
 // MembershipBytes reports the per-partition versioning tables plus the

@@ -1,54 +1,18 @@
 package core
 
 import (
-	"fmt"
-	"time"
-
 	"orpheusdb/internal/partition"
 	"orpheusdb/internal/vgraph"
 )
 
-// OptimizeWeighted is Optimize for the weighted checkout cost of Appendix
-// C.2: freq gives each version's checkout frequency (missing versions weigh
-// 1), so hot versions land in small partitions. Real workloads typically
-// weight recent versions heavily.
-func (c *CVD) OptimizeWeighted(gammaFactor float64, freq map[vgraph.VersionID]int64, naive bool) (*OptimizeResult, error) {
-	pm, ok := c.model.(PartitionedModel)
-	if !ok {
-		return nil, fmt.Errorf("core: %s: optimize requires the %s model (have %s)",
-			c.name, PartitionedRlistModel, c.model.Kind())
-	}
-	g, err := c.vm.graph()
-	if err != nil {
-		return nil, err
-	}
-	if g.Len() == 0 {
-		return nil, fmt.Errorf("core: %s: nothing to optimize", c.name)
-	}
-	totalRecords := int64(c.rm.nextR - 1)
-	gamma := int64(gammaFactor * float64(totalRecords))
-	t0 := time.Now()
-	res, err := partition.SolveWeighted(g.ToTree(), freq, gamma)
-	if err != nil {
-		return nil, err
-	}
-	solveTime := time.Since(t0)
-	t1 := time.Now()
-	report, err := pm.ApplyPartitioning(res.Groups, naive)
-	if err != nil {
-		return nil, err
-	}
-	pm.SetOnlineParams(res.Delta, gamma)
-	return &OptimizeResult{
-		Delta:         res.Delta,
-		Gamma:         gamma,
-		Partitions:    len(res.Groups),
-		EstStorage:    res.EstStorage,
-		EstCheckout:   res.EstCheckout,
-		Migration:     report,
-		MigrationTime: time.Since(t1),
-		SolveTime:     solveTime,
-	}, nil
+// PlanRepartitionWeighted is PlanRepartition for the weighted checkout cost
+// of Appendix C.2: freq gives each version's checkout frequency (missing
+// versions weigh 1), so hot versions land in small partitions. Real workloads
+// typically weight recent versions heavily.
+func (c *CVD) PlanRepartitionWeighted(gammaFactor float64, freq map[vgraph.VersionID]int64, batchRows int64) (*RepartitionPlan, error) {
+	return c.solve(gammaFactor, 0, batchRows, func(t *vgraph.Tree, gamma int64) (*partition.SolveResult, error) {
+		return partition.SolveWeighted(t, freq, gamma)
+	})
 }
 
 // RecencyWeights builds a frequency map that weights the most recent

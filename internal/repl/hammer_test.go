@@ -78,7 +78,8 @@ func TestReplicationConsistencyHammer(t *testing.T) {
 	writersDone := make(chan struct{})
 
 	// Writer 1: plain commit chain on "ha", with a partition migration
-	// every 10 commits (replicated as a TypeOptimize record).
+	// every 10 commits (replicated batch by batch as optimize-migrate
+	// records).
 	wg.Add(1)
 	go func() {
 		defer wg.Done()

@@ -201,7 +201,7 @@ func findSample(samples []promSample, name string, match map[string]string) (pro
 // cumulative, +Inf bucket equal to _count), the expected families from every
 // layer are present, and counters are monotonic across scrapes.
 func TestMetricsExposition(t *testing.T) {
-	ts, _ := newTestServer(t)
+	ts, store := newTestServer(t)
 	initProtein(t, ts.URL)
 	commitRows(t, ts.URL, [][]any{{1, 1, 0.5, "a"}, {1, 2, 1.25, "b"}}, nil, "first")
 
@@ -222,6 +222,11 @@ func TestMetricsExposition(t *testing.T) {
 		"sql": "SELECT count(*) FROM VERSION 1 OF CVD prot",
 	}); code != http.StatusOK {
 		t.Fatalf("query: %d", code)
+	}
+	// One manual optimize, no optimizer running: the partition series move.
+	seedPartitioned(t, store, "part", 16)
+	if code, body := doJSON(t, "POST", ts.URL+"/api/v1/datasets/part/optimize", map[string]any{"gamma": 2}); code != http.StatusOK {
+		t.Fatalf("optimize: %d %v", code, body)
 	}
 
 	_, samples, types := scrape(t, ts.URL)
@@ -289,6 +294,10 @@ func TestMetricsExposition(t *testing.T) {
 		{"orpheus_cache_misses_total", nil},
 		{"orpheus_page_faults_total", nil},
 		{"orpheus_page_evictions_total", nil},
+		{"orpheus_partition_migrations_total", nil},
+		{"orpheus_partition_batches_total", nil},
+		{"orpheus_partition_rows_moved_total", nil},
+		{"orpheus_partition_migrate_seconds_count", nil},
 		{"orpheus_wal_enabled", nil},
 		{"orpheus_engine_rows_scanned_total", nil},
 		{"orpheus_datasets", nil},
@@ -300,7 +309,9 @@ func TestMetricsExposition(t *testing.T) {
 		// The traffic above must actually have moved the core series.
 		switch want.name {
 		case "orpheus_checkout_seconds_count", "orpheus_commit_seconds_count",
-			"orpheus_sql_parse_seconds_count", "orpheus_sql_execute_seconds_count":
+			"orpheus_sql_parse_seconds_count", "orpheus_sql_execute_seconds_count",
+			"orpheus_partition_migrations_total", "orpheus_partition_batches_total",
+			"orpheus_partition_rows_moved_total", "orpheus_partition_migrate_seconds_count":
 			if s.value < 1 {
 				t.Fatalf("%s %v = %v, want >= 1", want.name, want.labels, s.value)
 			}

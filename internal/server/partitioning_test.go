@@ -109,3 +109,38 @@ func TestPartitioningEndpoints(t *testing.T) {
 		t.Fatalf("stats partition_migrations = %v, want 1", body["partition_migrations"])
 	}
 }
+
+// TestOptimizeEndpoint pins POST /optimize's two reply shapes, and that a
+// "naive" field (an executor choice that no longer exists) is ignored like
+// any unknown field.
+func TestOptimizeEndpoint(t *testing.T) {
+	ts, store := newTestServer(t)
+	seedPartitioned(t, store, "part", 16)
+	url := ts.URL + "/api/v1/datasets/part/optimize"
+
+	status, body := doJSON(t, "POST", url, map[string]any{"gamma": 2, "naive": true})
+	if status != http.StatusOK {
+		t.Fatalf("POST optimize: status %d, body %v", status, body)
+	}
+	for _, k := range []string{"dataset", "delta", "partitions", "estStorage", "estCheckout", "solveMillis", "migrationMillis", "storageBreakdown"} {
+		if _, ok := body[k]; !ok {
+			t.Errorf("optimize reply lacks %q: %v", k, body)
+		}
+	}
+	if n, _ := body["partitions"].(json.Number).Int64(); n < 2 {
+		t.Fatalf("optimize left %d partitions", n)
+	}
+
+	status, body = doJSON(t, "POST", url, map[string]any{"gamma": 2, "mu": 1.05})
+	if status != http.StatusOK {
+		t.Fatalf("POST optimize with mu: status %d, body %v", status, body)
+	}
+	for _, k := range []string{"dataset", "migrated", "cavg", "bestCavg"} {
+		if _, ok := body[k]; !ok {
+			t.Errorf("maintenance reply lacks %q: %v", k, body)
+		}
+	}
+	if migrated, _ := body["migrated"].(bool); migrated {
+		t.Fatalf("layout drifted right after an optimize: %v", body)
+	}
+}

@@ -895,7 +895,6 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Gamma json.Number `json:"gamma"`
 		Mu    json.Number `json:"mu"`
-		Naive bool        `json:"naive"`
 	}
 	if err := decodeBody(w, r, &req); err != nil {
 		writeError(w, err)
@@ -928,12 +927,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, resp)
 		return
 	}
-	var res *orpheusdb.OptimizeResult
-	if req.Naive {
-		res, err = d.OptimizeNaive(gamma)
-	} else {
-		res, err = d.Optimize(gamma)
-	}
+	res, err := d.Optimize(gamma)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -944,8 +938,8 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		"partitions":       res.Partitions,
 		"estStorage":       res.EstStorage,
 		"estCheckout":      res.EstCheckout,
-		"solveMillis":      res.SolveTime.Milliseconds(),
-		"migrationMillis":  res.MigrationTime.Milliseconds(),
+		"solveMillis":      res.SolveMs,
+		"migrationMillis":  res.MigrateTime.Milliseconds(),
 		"storageBreakdown": d.StorageBreakdown(),
 	})
 }
@@ -976,9 +970,9 @@ func (s *Server) handlePartitioning(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// handleRepartition triggers an immediate background-style repartitioning:
-// plan under the read lock, migrate in bounded WAL-logged batches. Requires
-// the optimizer to be running (it owns the batch execution discipline).
+// handleRepartition repartitions now under the running optimizer's tunables
+// (γ, batch rows) instead of waiting for its drift trigger; POST /optimize is
+// the same migration with the budget in the request.
 func (s *Server) handleRepartition(w http.ResponseWriter, r *http.Request) {
 	o := s.store.PartitionOptimizer()
 	if o == nil {

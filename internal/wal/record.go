@@ -41,6 +41,11 @@ const (
 	TypeCommit
 	TypeCommitSchema
 	TypeCommitTable
+	// TypeOptimize and TypeMaintain are read-only legacy: they logged a
+	// repartitioning as the solver's inputs (Gamma, Mu, Naive, Weighted,
+	// Freq) and recovery re-solved. Every repartitioning now logs its batches
+	// as TypeOptimizeMigrate records; these two are still decoded and
+	// replayed so older logs recover, and never written.
 	TypeOptimize
 	TypeMaintain
 	TypeUserAdd
@@ -116,9 +121,10 @@ type Record struct {
 	Version    int64           // version id the commit produced
 	TimeNanos  int64           // commit timestamp (unix nanos), replayed verbatim
 
-	Gamma    float64         // optimize/maintain storage budget factor
-	Mu       float64         // maintain tolerance
-	Naive    bool            // rebuild-from-scratch migration
+	// Legacy optimize/maintain fields, read from older logs only.
+	Gamma    float64         // storage budget factor
+	Mu       float64         // maintain tolerance (its check is not re-run on replay)
+	Naive    bool            // rebuild-from-scratch migration (ignored on replay)
 	Weighted bool            // optimize used a frequency map
 	Freq     map[int64]int64 // weighted-optimize frequencies
 

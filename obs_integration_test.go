@@ -57,3 +57,50 @@ func TestCheckoutLatencyHistogramsSplitHitMiss(t *testing.T) {
 		t.Fatalf("cache counters disagree with histograms: %+v", c)
 	}
 }
+
+// TestManualOptimizeIsObserved: a Dataset.Optimize with no optimizer running
+// goes through the one repartitioning executor, so it moves the four
+// partition series and leaves the optimize → optimize.plan / optimize.migrate
+// trace exactly as a background migration does.
+func TestManualOptimizeIsObserved(t *testing.T) {
+	s, ds, _ := chainStore(t, "seen", 20, 10)
+	series := func() map[string]float64 {
+		out := map[string]float64{}
+		for _, sm := range s.Metrics().Samples() {
+			out[sm.Name] = sm.Value
+		}
+		return out
+	}
+	names := []string{
+		"orpheus_partition_migrations_total",
+		"orpheus_partition_batches_total",
+		"orpheus_partition_rows_moved_total",
+		"orpheus_partition_migrate_seconds_count",
+	}
+	before := series()
+	rep, err := ds.Optimize(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := series()
+	for _, n := range names {
+		if after[n] <= before[n] {
+			t.Errorf("%s did not move: %v -> %v", n, before[n], after[n])
+		}
+	}
+	if got := after["orpheus_partition_batches_total"] - before["orpheus_partition_batches_total"]; got != float64(rep.Batches) {
+		t.Errorf("batches series moved by %v, report says %d", got, rep.Batches)
+	}
+
+	recent := s.Tracer().Snapshot().Recent
+	if len(recent) == 0 || recent[0].Name != "optimize" {
+		t.Fatalf("newest trace is not the optimize: %+v", recent)
+	}
+	spans := map[string]int{}
+	for _, c := range recent[0].Root.Children {
+		spans[c.Name]++
+	}
+	if spans["optimize.plan"] != 1 || spans["optimize.migrate"] != rep.Batches {
+		t.Fatalf("optimize trace has spans %v, want 1 plan and %d migrate", spans, rep.Batches)
+	}
+}

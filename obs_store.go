@@ -65,7 +65,7 @@ func newStoreObs() *storeObs {
 			"WAL fsync latency (per-append under the always policy, background under interval).",
 			obs.LatencyBuckets),
 		partitionMigrateSeconds: reg.Histogram("orpheus_partition_migrate_seconds",
-			"End-to-end latency of one background repartitioning (plan + all batches).",
+			"End-to-end latency of one repartitioning (plan + all batches).",
 			obs.LatencyBuckets),
 	}
 }
@@ -95,7 +95,7 @@ func (s *Store) registerCollectors() {
 	counter("orpheus_merges_total", "Merges attempted.", stats.Merges.Load)
 	counter("orpheus_merge_conflicts_total", "Record-level merge conflicts detected.", stats.MergeConflicts.Load)
 
-	counter("orpheus_partition_migrations_total", "Background repartitionings executed.", stats.PartitionMigrations.Load)
+	counter("orpheus_partition_migrations_total", "Repartitionings executed (manual, triggered and drift-driven).", stats.PartitionMigrations.Load)
 	counter("orpheus_partition_batches_total", "Migration batches applied (each one brief critical section).", stats.PartitionBatches.Load)
 	counter("orpheus_partition_rows_moved_total", "Records inserted or deleted by migration batches.", stats.PartitionRowsMoved.Load)
 	gauge("orpheus_partition_optimizer_running", "1 while the background partition optimizer is started.", func() int64 {

@@ -1,14 +1,12 @@
 package orpheusdb
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"time"
 
 	"orpheusdb/internal/bitmap"
 	"orpheusdb/internal/core"
-	"orpheusdb/internal/obs"
 	"orpheusdb/internal/partition"
 )
 
@@ -16,10 +14,9 @@ import (
 // traffic). A store-owned goroutine observes every commit into a per-dataset
 // partition.Online instance, and when the observed checkout cost drifts past
 // µ times the best cost LYRESPLIT can achieve under the storage budget, it
-// replans the layout and migrates it in bounded batches. Each batch takes the
-// dataset's exclusive lock only briefly — checkouts keep running between
-// batches — and is WAL-logged as an optimize-migrate record before the lock
-// is released, so a crash mid-migration replays to a consistent layout.
+// repartitions the dataset through the same executor manual optimizes use
+// (repartition.go): bounded batches, one brief critical section and one
+// optimize-migrate WAL record each, checkouts running in between.
 
 // PartitionOptimizerConfig tunes the background optimizer. The zero value of
 // any field selects its default.
@@ -57,7 +54,7 @@ func (c PartitionOptimizerConfig) withDefaults() PartitionOptimizerConfig {
 		c.Mu = 0
 	}
 	if c.BatchRows == 0 {
-		c.BatchRows = 4096
+		c.BatchRows = defaultBatchRows
 	}
 	if c.RecomputeEvery == 0 {
 		c.RecomputeEvery = 16
@@ -85,12 +82,6 @@ type PartitionOptimizer struct {
 // optimizerState is the optimizer's per-dataset bookkeeping. Guarded by
 // PartitionOptimizer.mu except where noted.
 type optimizerState struct {
-	// migrateMu serializes migrations of one dataset: a manual trigger
-	// racing a drift migration would otherwise interleave two plans, and
-	// the second plan's batches were computed against a layout the first
-	// is rewriting. Independent datasets still migrate concurrently.
-	migrateMu sync.Mutex
-
 	// onlineMu guards every access to online: the sweep goroutine drives it
 	// (ObserveCommit / SetAccessWeights / Drifted) while Status reads its
 	// counters from API goroutines. partition.Online itself is
@@ -138,21 +129,6 @@ type PartitionOptimizerStatus struct {
 	Cavg           float64 `json:"avg_checkout_records"`
 	Drifted        bool    `json:"drifted"`
 	AccessWeighted bool    `json:"access_weighted"`
-}
-
-// MigrationReport summarizes one executed repartitioning.
-type MigrationReport struct {
-	Dataset    string        `json:"dataset"`
-	Reason     string        `json:"reason"`
-	Delta      float64       `json:"delta"`
-	Groups     int           `json:"groups"`
-	Batches    int           `json:"batches"`
-	RowsMoved  int64         `json:"rows_moved"`
-	SolveTime  time.Duration `json:"-"`
-	TotalTime  time.Duration `json:"-"`
-	SolveMs    int64         `json:"solve_ms"`
-	TotalMs    int64         `json:"total_ms"`
-	Partitions int           `json:"partitions"`
 }
 
 // StartPartitionOptimizer launches the store's background partition
@@ -327,9 +303,7 @@ func (o *PartitionOptimizer) sweepDataset(name string) {
 	if !drifted {
 		return
 	}
-	if _, err := o.migrate(d, st, "drift"); err != nil {
-		o.recordErr(st, err)
-	}
+	_, _ = o.migrate(d, st, "drift") // a failure is booked in st.lastErr
 }
 
 func (o *PartitionOptimizer) recordErr(st *optimizerState, err error) {
@@ -346,122 +320,28 @@ func (o *PartitionOptimizer) Trigger(name string) (*MigrationReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := o.state(name)
-	rep, err := o.migrate(d, st, "manual")
-	if err != nil {
-		o.recordErr(st, err)
-	}
-	return rep, err
+	return o.migrate(d, o.state(name), "manual")
 }
 
-// migrate plans a repartitioning under the dataset read lock, then executes
-// it batch by batch: each batch briefly takes the exclusive lock, applies,
-// invalidates exactly the cache entries reading the moved versions, and
-// appends an optimize-migrate WAL record before releasing — checkouts run
-// freely between batches, and a crash replays the logged prefix to a
-// consistent layout.
+// migrate runs one repartitioning of d through the dataset's executor under
+// the optimizer's tunables, and books the outcome in the per-dataset state.
 func (o *PartitionOptimizer) migrate(d *Dataset, st *optimizerState, reason string) (*MigrationReport, error) {
-	st.migrateMu.Lock()
-	defer st.migrateMu.Unlock()
-	s := o.store
-	t0 := time.Now()
-	ctx, root := s.obs.tracer.StartTrace(context.Background(), "optimize")
-	defer root.End()
-
-	_, planSpan := obs.StartSpan(ctx, "optimize.plan")
-	d.mu.RLock()
-	var plan *core.RepartitionPlan
-	err := d.aliveLocked()
-	if err == nil {
-		plan, err = d.cvd.PlanRepartition(o.cfg.GammaFactor, o.cfg.BatchRows)
-	}
-	d.mu.RUnlock()
-	planSpan.End()
+	rep, err := d.repartition(reason, o.stop, func(c *core.CVD) (*core.RepartitionPlan, error) {
+		return c.PlanRepartition(o.cfg.GammaFactor, o.cfg.BatchRows)
+	})
 	if err != nil {
+		o.recordErr(st, err)
 		return nil, err
 	}
-
-	stats := s.db.Stats()
-	var moved int64
-	for _, b := range plan.Batches {
-		select {
-		case <-o.stop:
-			// Shutting down mid-plan is safe: every prefix of the batch
-			// sequence leaves a consistent layout (and is already logged).
-			return nil, fmt.Errorf("orpheusdb: %s: migration interrupted by optimizer shutdown", d.cvd.Name())
-		default:
-		}
-		n, aerr := o.applyBatch(ctx, d, b)
-		if aerr != nil {
-			return nil, aerr
-		}
-		moved += n
-		stats.PartitionBatches.Add(1)
-		stats.PartitionRowsMoved.Add(n)
-	}
-	stats.PartitionMigrations.Add(1)
-	total := time.Since(t0)
-	s.obs.partitionMigrateSeconds.Observe(total.Seconds())
-	s.ScheduleSave()
-
 	o.mu.Lock()
+	defer o.mu.Unlock()
 	st.migrations++
-	st.batches += int64(len(plan.Batches))
-	st.rowsMoved += moved
+	st.batches += int64(rep.Batches)
+	st.rowsMoved += rep.RowsMoved
 	st.lastRun = time.Now()
 	st.lastReason = reason
 	st.lastErr = ""
-	o.mu.Unlock()
-
-	status, _ := d.PartitionStatus()
-	rep := &MigrationReport{
-		Dataset:   d.cvd.Name(),
-		Reason:    reason,
-		Delta:     plan.Delta,
-		Groups:    plan.Groups,
-		Batches:   len(plan.Batches),
-		RowsMoved: moved,
-		SolveTime: plan.SolveTime,
-		TotalTime: total,
-		SolveMs:   plan.SolveTime.Milliseconds(),
-		TotalMs:   total.Milliseconds(),
-	}
-	if status != nil {
-		rep.Partitions = len(status.Partitions)
-	}
 	return rep, nil
-}
-
-// applyBatch is one migration batch's critical section.
-func (o *PartitionOptimizer) applyBatch(ctx context.Context, d *Dataset, b core.PartitionBatch) (int64, error) {
-	s := o.store
-	_, span := obs.StartSpan(ctx, "optimize.migrate")
-	defer span.End()
-	s.ioMu.RLock()
-	defer s.ioMu.RUnlock()
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.aliveLocked(); err != nil {
-		return 0, err
-	}
-	n, err := d.cvd.ApplyPartitionBatch(b)
-	if err != nil {
-		return 0, err
-	}
-	// Migration preserves every version's materialized contents, so only
-	// entries reading the remapped versions are dropped — and the dataset
-	// generation (the ETag validator) does not move.
-	if len(b.Versions) > 0 {
-		vids := make([]int64, len(b.Versions))
-		for i, v := range b.Versions {
-			vids[i] = int64(v)
-		}
-		s.cache.InvalidateVersions(d.cvd.Name(), bitmap.FromSlice(vids))
-	}
-	if err := s.logMutation(migrateBatchRecord(d.cvd.Name(), b)); err != nil {
-		return n, err
-	}
-	return n, nil
 }
 
 // Status reports the optimizer's view of one dataset.
@@ -530,13 +410,4 @@ func (o *PartitionOptimizer) Health() PartitionOptimizerHealth {
 		out.LastRun = lastRun.UTC().Format(time.RFC3339Nano)
 	}
 	return out
-}
-
-// PartitionStatus snapshots the dataset's partitioned layout (partition
-// sizes, storage amplification, δ*, current average checkout cost). ok is
-// false for datasets on non-partitioned models.
-func (d *Dataset) PartitionStatus() (*core.PartitionStatus, bool) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.cvd.PartitionStatus()
 }

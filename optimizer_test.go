@@ -3,10 +3,13 @@ package orpheusdb
 import (
 	"errors"
 	"fmt"
+	"path/filepath"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"orpheusdb/internal/core"
 	"orpheusdb/internal/partition"
 )
 
@@ -184,5 +187,110 @@ func TestOptimizerManualTrigger(t *testing.T) {
 	}
 	if _, err := o.Trigger("no-such-dataset"); err == nil {
 		t.Fatal("trigger on unknown dataset accepted")
+	}
+}
+
+// TestManualOptimizeYieldsBetweenBatches: a manual Optimize holds the dataset
+// lock one batch at a time, so a reader that keeps checking out the dataset
+// gets through while the migration is still in flight. (The one-shot executor
+// this replaced held the lock for the whole migration: the reader got in once
+// at most.)
+func TestManualOptimizeYieldsBetweenBatches(t *testing.T) {
+	_, ds, vids := chainStore(t, "yield", 40, 500)
+	var inFlight, done atomic.Bool
+	var reads atomic.Int64
+	readerErr := make(chan error, 1)
+	go func() {
+		defer close(readerErr)
+		for !done.Load() {
+			counts := inFlight.Load()
+			if _, err := ds.Checkout(vids[0]); err != nil {
+				readerErr <- err
+				return
+			}
+			if counts && !done.Load() {
+				reads.Add(1) // started and finished inside the migration
+			}
+		}
+	}()
+	inFlight.Store(true)
+	rep, err := ds.Optimize(2)
+	done.Store(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-readerErr; err != nil {
+		t.Fatal(err)
+	}
+	if rep.Batches < 4 {
+		t.Fatalf("migration ran in %d batches; the test needs several critical sections", rep.Batches)
+	}
+	if n := reads.Load(); n < 2 {
+		t.Fatalf("%d checkouts completed during a %d-batch optimize; the lock was not released between batches", n, rep.Batches)
+	}
+}
+
+// TestRepartitionSavesAppliedBatches: on a path-backed store without a WAL
+// the debounced save is the only durability, so every applied batch must
+// schedule one — a plan cut short by a failing batch (or by Stop) still gets
+// its applied prefix to disk.
+func TestRepartitionSavesAppliedBatches(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store.odb")
+	s, err := OpenStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer crash(s)
+	s.SetSaveDelay(20 * time.Millisecond)
+	ds, err := s.Init("pre", protCols(), InitOptions{Model: PartitionedRlist, PrimaryKey: []string{"id"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vids := growChain(t, ds, 12, 5)
+	want := make(map[VersionID][]string, len(vids))
+	for _, v := range vids {
+		want[v] = sortedCheckout(t, ds, v)
+	}
+	if err := s.Flush(); err != nil { // the commits are saved; no save is pending
+		t.Fatal(err)
+	}
+	saves := s.WALStatus().Checkpoints
+
+	_, err = ds.repartition("test", nil, func(c *core.CVD) (*core.RepartitionPlan, error) {
+		plan, err := c.PlanRepartition(2, defaultBatchRows)
+		if err == nil {
+			// The final batch cannot apply; the ones before it are real.
+			plan.Batches[len(plan.Batches)-1] = core.PartitionBatch{Kind: core.PartitionBatchGC, Anchor: 9999}
+		}
+		return plan, err
+	})
+	if err == nil {
+		t.Fatal("a plan with an unappliable batch succeeded")
+	}
+	if st, _ := ds.PartitionStatus(); len(st.Partitions) < 2 {
+		t.Fatalf("no batch was applied before the failing one (%d partitions)", len(st.Partitions))
+	}
+	for deadline := time.Now().Add(10 * time.Second); s.WALStatus().Checkpoints == saves; {
+		if time.Now().After(deadline) {
+			t.Fatal("the applied batches never scheduled a save")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	r, err := OpenStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd, err := r.Dataset("pre")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := rd.PartitionStatus(); len(st.Partitions) < 2 {
+		t.Fatalf("reopened store has %d partitions: the applied batches were not saved", len(st.Partitions))
+	}
+	for _, v := range vids {
+		if got := sortedCheckout(t, rd, v); fmt.Sprint(got) != fmt.Sprint(want[v]) {
+			t.Fatalf("version %d differs after reopen", v)
+		}
 	}
 }

@@ -58,10 +58,6 @@ type (
 	VersionInfo = core.VersionInfo
 	// Result is a query result.
 	Result = sql.Result
-	// OptimizeResult reports a partition-optimizer run.
-	OptimizeResult = core.OptimizeResult
-	// MaintenanceResult reports a periodic partition-maintenance check.
-	MaintenanceResult = core.MaintenanceResult
 	// SetOp is a record-membership operator for multi-version scans.
 	SetOp = core.SetOp
 	// StorageBreakdown splits dataset storage into membership vs data bytes.
@@ -546,9 +542,13 @@ type Dataset struct {
 	store *Store
 	cvd   *core.CVD
 
-	// mu is the per-dataset lock: Commit/Optimize/Drop hold it
-	// exclusively, Checkout/Diff/Info and friends hold it shared.
+	// mu is the per-dataset lock: Commit, Drop and each repartitioning
+	// batch hold it exclusively, Checkout/Diff/Info and friends hold it
+	// shared.
 	mu sync.RWMutex
+	// migrateMu serializes the dataset's repartitionings, held across a
+	// whole plan and taken before ioMu and mu (see repartition.go).
+	migrateMu sync.Mutex
 	// dropped marks a handle whose CVD was removed by Drop; subsequent
 	// operations fail instead of writing stale state into a possibly
 	// re-created dataset of the same name. Guarded by mu.
@@ -1053,50 +1053,6 @@ func (d *Dataset) StorageBytes() int64 {
 	return d.cvd.StorageBytes()
 }
 
-// Optimize runs the partition optimizer (LYRESPLIT) under the storage budget
-// γ = gammaFactor × |R| and migrates the partitioned layout. The dataset
-// must use the PartitionedRlist model.
-func (d *Dataset) Optimize(gammaFactor float64) (*core.OptimizeResult, error) {
-	return d.optimize(gammaFactor, false)
-}
-
-// OptimizeNaive is Optimize with rebuild-from-scratch migration (the
-// baseline of Figures 14b/15b).
-func (d *Dataset) OptimizeNaive(gammaFactor float64) (*core.OptimizeResult, error) {
-	return d.optimize(gammaFactor, true)
-}
-
-func (d *Dataset) optimize(gammaFactor float64, naive bool) (*core.OptimizeResult, error) {
-	if err := d.store.writable(); err != nil {
-		return nil, err
-	}
-	d.store.ioMu.RLock()
-	defer d.store.ioMu.RUnlock()
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.aliveLocked(); err != nil {
-		return nil, err
-	}
-	res, err := d.cvd.Optimize(gammaFactor, naive)
-	if err != nil {
-		return nil, err
-	}
-	// Migration rewrites the partitioned layout; cached materializations
-	// remain value-correct but would pin the pre-migration fetch results,
-	// so drop them (and advance the generation) for observability's sake.
-	d.store.cache.InvalidateDataset(d.cvd.Name())
-	if err := d.store.logMutation(&wal.Record{
-		Type:    wal.TypeOptimize,
-		Dataset: d.cvd.Name(),
-		Gamma:   gammaFactor,
-		Naive:   naive,
-	}); err != nil {
-		return res, err
-	}
-	d.store.ScheduleSave()
-	return res, nil
-}
-
 // CVD exposes the underlying core object for advanced use. Access through
 // CVD bypasses the dataset lock; do not mix it with concurrent use.
 func (d *Dataset) CVD() *core.CVD { return d.cvd }
@@ -1142,79 +1098,10 @@ func (d *Dataset) LastModified() (time.Time, error) {
 	return best, nil
 }
 
-// OptimizeWeighted is Optimize under the weighted checkout cost of Appendix
-// C.2: versions with higher freq land in smaller partitions. Missing
-// versions default to weight 1.
-func (d *Dataset) OptimizeWeighted(gammaFactor float64, freq map[VersionID]int64) (*core.OptimizeResult, error) {
-	if err := d.store.writable(); err != nil {
-		return nil, err
-	}
-	d.store.ioMu.RLock()
-	defer d.store.ioMu.RUnlock()
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.aliveLocked(); err != nil {
-		return nil, err
-	}
-	res, err := d.cvd.OptimizeWeighted(gammaFactor, freq, false)
-	if err != nil {
-		return nil, err
-	}
-	d.store.cache.InvalidateDataset(d.cvd.Name()) // layout change; see optimize
-	rec := &wal.Record{
-		Type:     wal.TypeOptimize,
-		Dataset:  d.cvd.Name(),
-		Gamma:    gammaFactor,
-		Weighted: true,
-		Freq:     make(map[int64]int64, len(freq)),
-	}
-	for k, v := range freq {
-		rec.Freq[int64(k)] = v
-	}
-	if err := d.store.logMutation(rec); err != nil {
-		return res, err
-	}
-	d.store.ScheduleSave()
-	return res, nil
-}
-
 // RecencyWeights builds a checkout-frequency map weighting the most recent
 // recentFraction of versions hot× more than the rest.
 func (d *Dataset) RecencyWeights(recentFraction float64, hot int64) map[VersionID]int64 {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	return d.cvd.RecencyWeights(recentFraction, hot)
-}
-
-// MaintainPartitions runs the periodic partition check of Section 4.3:
-// when the current checkout cost exceeds mu times the best LYRESPLIT can
-// achieve under gammaFactor·|R|, the layout is migrated.
-func (d *Dataset) MaintainPartitions(gammaFactor, mu float64) (*core.MaintenanceResult, error) {
-	if err := d.store.writable(); err != nil {
-		return nil, err
-	}
-	d.store.ioMu.RLock()
-	defer d.store.ioMu.RUnlock()
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.aliveLocked(); err != nil {
-		return nil, err
-	}
-	res, err := d.cvd.MaintainPartitions(gammaFactor, mu, false)
-	if err != nil {
-		return nil, err
-	}
-	if res != nil && res.Migrated {
-		d.store.cache.InvalidateDataset(d.cvd.Name()) // layout change; see optimize
-		if err := d.store.logMutation(&wal.Record{
-			Type:    wal.TypeMaintain,
-			Dataset: d.cvd.Name(),
-			Gamma:   gammaFactor,
-			Mu:      mu,
-		}); err != nil {
-			return res, err
-		}
-		d.store.ScheduleSave()
-	}
-	return res, nil
 }

@@ -119,9 +119,11 @@ func (s *Store) ApplyReplicated(lsn uint64, rec *wal.Record) error {
 	if err := s.applyRecord(rec); err != nil {
 		return fmt.Errorf("orpheusdb: replication apply LSN %d (%s %s): %w", lsn, rec.Type, rec.Dataset, err)
 	}
-	if rec.Dataset != "" {
-		// Same rule as every primary-side mutator: invalidate inside the
-		// critical section so no reader revalidates a stale materialization.
+	// Same rule as every primary-side mutator: invalidate inside the
+	// critical section so no reader revalidates a stale materialization.
+	if rec.Type == wal.TypeOptimizeMigrate {
+		s.invalidateMoved(rec)
+	} else if rec.Dataset != "" {
 		s.cache.InvalidateDataset(rec.Dataset)
 	}
 	s.db.SetWalLSN(lsn)

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"orpheusdb/internal/wal"
 )
 
 // Crash-recovery suite for the write-ahead log: every test mutates a store,
@@ -83,6 +85,25 @@ func mustCommit(t *testing.T, d *Dataset, parents []VersionID, msg string, ids .
 		t.Fatalf("commit %q: %v", msg, err)
 	}
 	return v
+}
+
+// growChain commits a chain of n versions onto a protCols dataset, each
+// holding its parent's rows plus per new ones, and returns the version ids.
+func growChain(t *testing.T, d *Dataset, n, per int) []VersionID {
+	t.Helper()
+	var vids []VersionID
+	var ids []int64
+	for i := 0; i < n; i++ {
+		for j := 0; j < per; j++ {
+			ids = append(ids, int64(len(ids)))
+		}
+		var parents []VersionID
+		if i > 0 {
+			parents = vids[i-1:]
+		}
+		vids = append(vids, mustCommit(t, d, parents, fmt.Sprintf("c%d", i), ids...))
+	}
+	return vids
 }
 
 func assertVersions(t *testing.T, d *Dataset, want ...VersionID) {
@@ -581,8 +602,28 @@ func TestWALInMemoryStore(t *testing.T) {
 	assertVersions(t, rd, v1)
 }
 
-// TestWALOptimizeRecovery replays a partition-optimizer run: the optimize
-// record re-runs LYRESPLIT deterministically over the recovered graph.
+// walRecordTypes counts the records of a crashed store's log by type, reading
+// a copy so the store's own files stay as the crash left them.
+func walRecordTypes(t *testing.T, dir string) map[wal.Type]int {
+	t.Helper()
+	l, err := wal.Open(wal.Options{Dir: filepath.Join(copyWALDir(t, dir, -1), "store.odb.wal")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	types := map[wal.Type]int{}
+	if err := l.Replay(0, func(_ uint64, rec *wal.Record) error {
+		types[rec.Type]++
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return types
+}
+
+// TestWALOptimizeRecovery replays a manual partition-optimizer run: the log
+// holds the migration's batches, not the solver's inputs, so recovery
+// re-applies them and never asks LYRESPLIT again.
 func TestWALOptimizeRecovery(t *testing.T) {
 	dir := t.TempDir()
 	s := openWALStore(t, dir, FsyncOff)
@@ -602,7 +643,8 @@ func TestWALOptimizeRecovery(t *testing.T) {
 		}
 		last = mustCommit(t, d, parents, fmt.Sprintf("c%d", i), ids...)
 	}
-	if _, err := d.Optimize(2.0); err != nil {
+	rep, err := d.Optimize(2.0)
+	if err != nil {
 		t.Fatal(err)
 	}
 	v9 := mustCommit(t, d, []VersionID{last}, "after optimize", 500)
@@ -611,6 +653,10 @@ func TestWALOptimizeRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	crash(s)
+	types := walRecordTypes(t, dir)
+	if types[wal.TypeOptimizeMigrate] != rep.Batches || types[wal.TypeOptimize] != 0 || types[wal.TypeMaintain] != 0 {
+		t.Fatalf("log holds %v; want %d optimize-migrate records and no optimize/maintain", types, rep.Batches)
+	}
 
 	r := openWALStore(t, dir, FsyncOff)
 	defer crash(r)
@@ -624,6 +670,87 @@ func TestWALOptimizeRecovery(t *testing.T) {
 	got, err := rd.Checkout(v9)
 	if err != nil || len(got) != len(want) {
 		t.Fatalf("checkout after optimize replay: %d rows, %v; want %d", len(got), err, len(want))
+	}
+	if st, _ := rd.PartitionStatus(); len(st.Partitions) < 2 {
+		t.Fatalf("replay left %d partitions: the logged batches were not applied", len(st.Partitions))
+	}
+}
+
+// TestWALLegacyOptimizeRecords recovers a log written before repartitioning
+// logged its batches: optimize records (plain, with the naive bit, weighted
+// with frequencies) and a maintain record sit between commits and carry only
+// the solver's inputs. Nothing writes them any more, but they must still
+// decode and replay — through the same solve → plan → apply-batches path a
+// live optimize takes — with every version checking out to its pre-crash
+// contents and the commits logged after them passing replay's version-id and
+// membership divergence checks.
+func TestWALLegacyOptimizeRecords(t *testing.T) {
+	// The commits come from a live store, so their records (timestamps,
+	// membership bitmaps, version ids) are exactly what a store writes; the
+	// legacy records are spliced in where the old store would have put them.
+	src := t.TempDir()
+	s := openWALStore(t, src, FsyncOff)
+	d, err := s.Init("part", protCols(), InitOptions{Model: PartitionedRlist, PrimaryKey: []string{"id"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vids := growChain(t, d, 20, 4)
+	want := make(map[VersionID][]string, len(vids))
+	for _, v := range vids {
+		want[v] = sortedCheckout(t, d, v)
+	}
+	crash(s)
+
+	legacy := map[VersionID]*wal.Record{ // appended after this version's commit
+		vids[4]:  {Type: wal.TypeOptimize, Dataset: "part", Gamma: 2},
+		vids[8]:  {Type: wal.TypeOptimize, Dataset: "part", Gamma: 2, Naive: true},
+		vids[12]: {Type: wal.TypeOptimize, Dataset: "part", Gamma: 2, Weighted: true, Freq: map[int64]int64{int64(vids[11]): 2, int64(vids[12]): 2}},
+		vids[16]: {Type: wal.TypeMaintain, Dataset: "part", Gamma: 2, Mu: 1.05},
+	}
+	in, err := wal.Open(wal.Options{Dir: filepath.Join(src, "store.odb.wal")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
+	dir := t.TempDir()
+	out, err := wal.Open(wal.Options{Dir: filepath.Join(dir, "store.odb.wal")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := in.Replay(0, func(_ uint64, rec *wal.Record) error {
+		if _, err := out.Append(rec); err != nil {
+			return err
+		}
+		if old, ok := legacy[VersionID(rec.Version)]; ok && rec.Type == wal.TypeCommit {
+			_, err = out.Append(old)
+		}
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := out.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r := openWALStore(t, dir, FsyncOff) // EnableWAL fails on any replay divergence
+	defer crash(r)
+	rd, err := r.Dataset("part")
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertVersions(t, rd, vids...)
+	for _, v := range vids {
+		if got := sortedCheckout(t, rd, v); fmt.Sprint(got) != fmt.Sprint(want[v]) {
+			t.Fatalf("version %d differs after replaying the legacy log", v)
+		}
+	}
+	if st, _ := rd.PartitionStatus(); len(st.Partitions) < 2 {
+		t.Fatalf("legacy optimize records left %d partitions", len(st.Partitions))
+	}
+	// The recovered store carries on in the current format.
+	mustCommit(t, rd, vids[len(vids)-1:], "after recovery", 9001)
+	if _, err := rd.Optimize(2); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -836,12 +963,63 @@ func TestWALStatusDisabled(t *testing.T) {
 }
 
 // TestWALKillPointOptimizeMigrate extends the kill-point matrix to the
-// optimize-migrate record: a background repartitioning is WAL-logged batch by
-// batch, and the log is cut at arbitrary byte offsets across the whole
-// migration. Every cut must recover to a consistent layout — some replayed
-// prefix of the batch sequence — where every recovered version still checks
-// out its exact acknowledged contents, and the store stays writable.
+// optimize-migrate record: every repartitioning — the optimizer's Trigger and
+// each manual call with no optimizer running — is WAL-logged batch by batch,
+// and the log is cut at arbitrary byte offsets across the whole migration.
+// Every cut must recover to a consistent layout — some replayed prefix of the
+// batch sequence — where every recovered version still checks out its exact
+// acknowledged contents, and the store stays writable.
 func TestWALKillPointOptimizeMigrate(t *testing.T) {
+	for _, drv := range []struct {
+		name    string
+		migrate func(t *testing.T, s *Store, d *Dataset) *MigrationReport
+	}{
+		{"Trigger", func(t *testing.T, s *Store, d *Dataset) *MigrationReport {
+			o, err := s.StartPartitionOptimizer(PartitionOptimizerConfig{
+				Mu:        MuDisabled,
+				BatchRows: 24, // many small batches = many kill points
+				Interval:  time.Hour,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer o.Stop()
+			rep, err := o.Trigger(d.Name())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rep
+		}},
+		{"Optimize", func(t *testing.T, s *Store, d *Dataset) *MigrationReport {
+			rep, err := d.Optimize(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rep
+		}},
+		{"OptimizeWeighted", func(t *testing.T, s *Store, d *Dataset) *MigrationReport {
+			rep, err := d.OptimizeWeighted(2, d.RecencyWeights(0.5, 2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rep
+		}},
+		{"MaintainPartitions", func(t *testing.T, s *Store, d *Dataset) *MigrationReport {
+			m, err := d.MaintainPartitions(2, 1.05)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !m.Migrated {
+				t.Fatalf("single-partition chain within tolerance: %+v", m)
+			}
+			return m.Migration
+		}},
+	} {
+		t.Run(drv.name, func(t *testing.T) { killPointOptimizeMigrate(t, drv.migrate) })
+	}
+}
+
+func killPointOptimizeMigrate(t *testing.T, migrate func(*testing.T, *Store, *Dataset) *MigrationReport) {
 	dir := t.TempDir()
 	s := openWALStore(t, dir, FsyncOff)
 	d, err := s.Init("part", protCols(), InitOptions{Model: PartitionedRlist, PrimaryKey: []string{"id"}})
@@ -849,7 +1027,7 @@ func TestWALKillPointOptimizeMigrate(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Growing chain: version i carries 3*(i+1) rows, so the single initial
-	// partition drifts and the plan needs several small batches.
+	// partition drifts and the plan needs several batches.
 	acked := []VersionID{}
 	last := VersionID(0)
 	next := int64(0)
@@ -867,18 +1045,7 @@ func TestWALKillPointOptimizeMigrate(t *testing.T) {
 		acked = append(acked, last)
 	}
 
-	o, err := s.StartPartitionOptimizer(PartitionOptimizerConfig{
-		Mu:        MuDisabled,
-		BatchRows: 24, // force a multi-batch migration = many kill points
-		Interval:  time.Hour,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := o.Trigger("part")
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := migrate(t, s, d)
 	if rep.Batches < 3 {
 		t.Fatalf("migration used %d batches; the matrix needs a multi-batch log", rep.Batches)
 	}
@@ -886,7 +1053,6 @@ func TestWALKillPointOptimizeMigrate(t *testing.T) {
 	// records, so cuts land before, inside, and after the batch sequence.
 	after := mustCommit(t, d, []VersionID{last}, "after migrate", 999)
 	acked = append(acked, after)
-	o.Stop()
 
 	// Contents are invariant under migration, so one fingerprint per version
 	// is the oracle for every cut.

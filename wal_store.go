@@ -23,7 +23,7 @@ import (
 //
 // Logged mutations: dataset init/drop, commits (including schema evolution
 // and staged-table commits, whose materialized rows ride in the record),
-// partition optimization/maintenance, and user registration. The staging
+// repartitioning batches, and user registration. The staging
 // area itself (CheckoutToTable, SQL writes on staged tables) remains
 // checkpoint-durable only: staged tables are working copies whose loss is
 // recoverable by checking out again, and logging them would bloat the log
@@ -221,28 +221,8 @@ func (s *Store) applyRecord(rec *wal.Record) error {
 		return nil
 	case wal.TypeCommit, wal.TypeCommitSchema, wal.TypeCommitTable:
 		return s.replayCommit(rec)
-	case wal.TypeOptimize:
-		d, err := s.dataset(rec.Dataset)
-		if err != nil {
-			return err
-		}
-		if rec.Weighted {
-			freq := make(map[VersionID]int64, len(rec.Freq))
-			for k, v := range rec.Freq {
-				freq[VersionID(k)] = v
-			}
-			_, err = d.cvd.OptimizeWeighted(rec.Gamma, freq, rec.Naive)
-		} else {
-			_, err = d.cvd.Optimize(rec.Gamma, rec.Naive)
-		}
-		return err
-	case wal.TypeMaintain:
-		d, err := s.dataset(rec.Dataset)
-		if err != nil {
-			return err
-		}
-		_, err = d.cvd.MaintainPartitions(rec.Gamma, rec.Mu, rec.Naive)
-		return err
+	case wal.TypeOptimize, wal.TypeMaintain:
+		return s.replayLegacyOptimize(rec)
 	case wal.TypeUserAdd:
 		s.mu.Lock()
 		defer s.mu.Unlock()
@@ -309,6 +289,35 @@ func recordBatch(rec *wal.Record) core.PartitionBatch {
 		}
 	}
 	return b
+}
+
+// replayLegacyOptimize replays an optimize or maintain record. Nothing writes
+// them any more — every repartitioning logs its batches as optimize-migrate
+// records — but a log from before that still holds them, and they carry only
+// the solver's inputs. So replay does what a live optimize does: solve, plan,
+// apply the batches. The maintain record was only ever written after its
+// tolerance check had failed, so it migrates unconditionally; the naive bit
+// chose an executor that no longer exists and is ignored.
+func (s *Store) replayLegacyOptimize(rec *wal.Record) error {
+	d, err := s.dataset(rec.Dataset)
+	if err != nil {
+		return err
+	}
+	var plan *core.RepartitionPlan
+	if rec.Weighted {
+		freq := make(map[VersionID]int64, len(rec.Freq))
+		for k, v := range rec.Freq {
+			freq[VersionID(k)] = v
+		}
+		plan, err = d.cvd.PlanRepartitionWeighted(rec.Gamma, freq, defaultBatchRows)
+	} else {
+		plan, err = d.cvd.PlanRepartition(rec.Gamma, defaultBatchRows)
+	}
+	if err != nil {
+		return err
+	}
+	_, err = d.cvd.ApplyRepartition(plan)
+	return err
 }
 
 // replayMigrateBatch re-applies one logged migration batch. The batch is
