@@ -1,11 +1,16 @@
 package orpheusdb
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"orpheusdb/internal/engine"
+	"orpheusdb/internal/engine/diskv"
 )
 
 // Disk-backend acceptance suite: the WAL crash-recovery matrices re-run
@@ -183,4 +188,181 @@ func TestDiskBackendDatasetLargerThanBudgets(t *testing.T) {
 	if faults := r.DB().Stats().PageFaults.Load(); faults == 0 {
 		t.Fatal("no page faults: the dataset cannot have exceeded the resident budget")
 	}
+}
+
+// legacyGobPage encodes a page the way stores were written before the page
+// layout of internal/engine/pagecodec.go: gob over the live rows and a
+// liveness mask (gob matches the struct by its field names).
+func legacyGobPage(t *testing.T, slots []engine.Row) []byte {
+	t.Helper()
+	var pd struct {
+		Live []bool
+		Rows []engine.Row
+	}
+	pd.Live = make([]bool, len(slots))
+	for i, r := range slots {
+		if r != nil {
+			pd.Live[i] = true
+			pd.Rows = append(pd.Rows, r)
+		}
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&pd); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// pageFormats counts the page values of a diskv file by their first byte:
+// gob streams (a length below 0x80 or a marker from 0xF8) and the page layout.
+func pageFormats(t *testing.T, path string) (gobPages, typedPages int) {
+	t.Helper()
+	kv, err := diskv.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer kv.Close()
+	for _, key := range kv.Keys("page/") {
+		val, ok, err := kv.Get(key)
+		if err != nil || !ok || len(val) == 0 {
+			t.Fatalf("page %s: ok=%v err=%v len=%d", key, ok, err, len(val))
+		}
+		if val[0] < 0x80 || val[0] >= 0xF8 {
+			gobPages++
+		} else {
+			typedPages++
+		}
+	}
+	return gobPages, typedPages
+}
+
+// TestDiskBackendLegacyGobPagesUpgradeByUse: a store whose pages an older
+// binary gob-encoded opens, serves every version exactly as recorded, and
+// turns into the page layout by being used — the pages a commit dirties at
+// the next checkpoint, the rest when the file is compacted — with nothing to
+// choose a format by.
+func TestDiskBackendLegacyGobPagesUpgradeByUse(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store.odb")
+	open := func() *Store {
+		s, err := OpenStoreWithOptions(path, StoreOptions{Backend: BackendDisk, PageBudgetBytes: 32 << 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.SetSaveDelay(time.Hour)
+		return s
+	}
+	s := open()
+	d, err := s.Init("prot", protCols(), InitOptions{PrimaryKey: []string{"id"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	versions := growChain(t, d, 6, 150) // 900 records: several data pages
+	want := make(map[VersionID][]string)
+	for _, v := range versions {
+		want[v] = sortedCheckout(t, d, v)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Rewrite every page value as the parent commit would have written it.
+	b, err := engine.OpenDiskBackend(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	metas, err := b.TableMetas()
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := make(map[string][]byte)
+	for _, m := range metas {
+		for p := 0; p < m.Pages; p++ {
+			slots, err := b.ReadPage(m.ID, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			legacy[fmt.Sprintf("page/%016x/%08x", m.ID, p)] = legacyGobPage(t, slots)
+		}
+	}
+	b.Close()
+	kv, err := diskv.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(kv.Keys("page/")); got != len(legacy) || got < 4 {
+		t.Fatalf("%d page keys in the file, %d rebuilt from the catalog", got, len(legacy))
+	}
+	for key, val := range legacy {
+		if err := kv.Put(key, val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := kv.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	kv.Close()
+	if g, typed := pageFormats(t, path); typed != 0 || g != len(legacy) {
+		t.Fatalf("legacy fixture has %d gob and %d typed pages, want %d and 0", g, typed, len(legacy))
+	}
+
+	check := func(d *Dataset, vs []VersionID) {
+		t.Helper()
+		for _, v := range vs {
+			got := sortedCheckout(t, d, v)
+			if len(got) != len(want[v]) {
+				t.Fatalf("version %d: %d rows, want %d", v, len(got), len(want[v]))
+			}
+			for i := range got {
+				if got[i] != want[v][i] {
+					t.Fatalf("version %d row %d:\n  recorded %s\n  got      %s", v, i, want[v][i], got[i])
+				}
+			}
+		}
+	}
+	s = open()
+	d, err = s.Dataset("prot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(d, versions)
+
+	// Use it: a commit dirties some pages, the checkpoint writes those back
+	// in the page layout and leaves the others as they are.
+	ids := make([]int64, 50)
+	for i := range ids {
+		ids[i] = int64(5000 + i)
+	}
+	tail := mustCommit(t, d, versions[len(versions)-1:], "after upgrade", ids...)
+	want[tail] = sortedCheckout(t, d, tail)
+	versions = append(versions, tail)
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	g, typed := pageFormats(t, path)
+	if g == 0 || typed == 0 {
+		t.Fatalf("after one commit and checkpoint: %d gob and %d typed pages, want some of each", g, typed)
+	}
+
+	// Compaction re-encodes what no commit touched.
+	s = open()
+	if err := s.DB().Backend().(*engine.DiskBackend).Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if g, typed = pageFormats(t, path); g != 0 || typed < len(legacy) {
+		t.Fatalf("after compaction: %d gob and %d typed pages, want 0 and ≥ %d", g, typed, len(legacy))
+	}
+
+	s = open()
+	defer s.Close()
+	d, err = s.Dataset("prot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(d, versions)
 }

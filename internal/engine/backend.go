@@ -35,11 +35,14 @@ type Backend interface {
 	// [0, pages).
 	DeleteTable(id uint64, pages int) error
 
-	// WritePage stages one heap page.
-	WritePage(table uint64, page int, pd *PageData) (int, error)
-	// ReadPage fetches one heap page. Missing pages are an error — the
+	// WritePage stages one heap page: its slots in order, nil for a
+	// tombstoned slot. It returns the bytes staged. The backend keeps no
+	// reference to slots or to the rows.
+	WritePage(table uint64, page int, slots []Row) (int, error)
+	// ReadPage fetches one heap page as the slot slice the table installs
+	// resident; the caller owns it. Missing pages are an error — the
 	// catalog said they exist.
-	ReadPage(table uint64, page int) (*PageData, error)
+	ReadPage(table uint64, page int) ([]Row, error)
 	// DeletePage stages removal of one heap page (heap truncation after
 	// Compact/Cluster shrank a table).
 	DeletePage(table uint64, page int) error
@@ -79,66 +82,6 @@ type TableMeta struct {
 	Bytes int64 // live data bytes (maintained incrementally; SizeBytes source)
 }
 
-// PageData is one heap page in transit to or from a backend. Tombstoned
-// slots are carried as an explicit liveness mask rather than nil rows so the
-// codec never depends on an encoder's nil/empty conventions: Rows holds the
-// live rows in slot order and len(Live) is the page's slot count.
-type PageData struct {
-	Live []bool
-	Rows []Row
-}
-
-// pageDataFromSlots converts a resident page to its transit form.
-func pageDataFromSlots(slots []Row) *PageData {
-	pd := &PageData{Live: make([]bool, len(slots))}
-	for i, r := range slots {
-		if r != nil {
-			pd.Live[i] = true
-			pd.Rows = append(pd.Rows, r)
-		}
-	}
-	return pd
-}
-
-// slots converts the transit form back to a resident page.
-func (pd *PageData) slots() ([]Row, error) {
-	out := make([]Row, len(pd.Live))
-	j := 0
-	for i, live := range pd.Live {
-		if !live {
-			continue
-		}
-		if j >= len(pd.Rows) {
-			return nil, fmt.Errorf("engine: page data: %d live slots but %d rows", countLive(pd.Live), len(pd.Rows))
-		}
-		out[i] = pd.Rows[j]
-		j++
-	}
-	if j != len(pd.Rows) {
-		return nil, fmt.Errorf("engine: page data: %d live slots but %d rows", j, len(pd.Rows))
-	}
-	return out, nil
-}
-
-func countLive(live []bool) int {
-	n := 0
-	for _, l := range live {
-		if l {
-			n++
-		}
-	}
-	return n
-}
-
-// encodePage serializes a page for a KV backend.
-func encodePage(pd *PageData) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(pd); err != nil {
-		return nil, fmt.Errorf("engine: encode page: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
 // encodeTableMeta serializes a catalog entry for a KV backend.
 func encodeTableMeta(m TableMeta) ([]byte, error) {
 	var buf bytes.Buffer
@@ -157,13 +100,41 @@ func decodeTableMeta(data []byte) (TableMeta, error) {
 	return m, nil
 }
 
-// decodePage is the inverse of encodePage.
-func decodePage(data []byte) (*PageData, error) {
-	var pd PageData
+// legacyPage is the shape pages were gob-encoded in before the page layout
+// of pagecodec.go: the live rows in slot order beside a liveness mask whose
+// length is the slot count.
+type legacyPage struct {
+	Live []bool
+	Rows []Row
+}
+
+// decodeLegacyPage reads a gob-encoded page. Nothing writes this format any
+// more; a store written before the page layout existed is read through here,
+// page by page, until a flush or a compaction has rewritten it.
+func decodeLegacyPage(data []byte) ([]Row, error) {
+	var pd legacyPage
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&pd); err != nil {
-		return nil, fmt.Errorf("engine: decode page: %w", err)
+		return nil, fmt.Errorf("engine: decode legacy page: %v: %w", err, ErrCorruptPage)
 	}
-	return &pd, nil
+	if len(pd.Live) > RowsPerPage {
+		return nil, fmt.Errorf("engine: decode legacy page: %d slots: %w", len(pd.Live), ErrCorruptPage)
+	}
+	slots := make([]Row, len(pd.Live), RowsPerPage)
+	j := 0
+	for i, live := range pd.Live {
+		if !live {
+			continue
+		}
+		if j == len(pd.Rows) {
+			return nil, fmt.Errorf("engine: decode legacy page: more live slots than the %d rows: %w", len(pd.Rows), ErrCorruptPage)
+		}
+		slots[i] = pd.Rows[j]
+		j++
+	}
+	if j != len(pd.Rows) {
+		return nil, fmt.Errorf("engine: decode legacy page: %d live slots but %d rows: %w", j, len(pd.Rows), ErrCorruptPage)
+	}
+	return slots, nil
 }
 
 // MemBackend is the in-memory reference implementation of Backend: the
@@ -175,7 +146,7 @@ func decodePage(data []byte) (*PageData, error) {
 type MemBackend struct {
 	mu    sync.RWMutex
 	metas map[uint64]TableMeta
-	pages map[uint64]map[int]*PageData
+	pages map[uint64]map[int][]Row
 	meta  map[string][]byte
 }
 
@@ -183,7 +154,7 @@ type MemBackend struct {
 func NewMemBackend() *MemBackend {
 	return &MemBackend{
 		metas: make(map[uint64]TableMeta),
-		pages: make(map[uint64]map[int]*PageData),
+		pages: make(map[uint64]map[int][]Row),
 		meta:  make(map[string][]byte),
 	}
 }
@@ -220,36 +191,45 @@ func (b *MemBackend) DeleteTable(id uint64, pages int) error {
 	return nil
 }
 
-// WritePage implements Backend.
-func (b *MemBackend) WritePage(table uint64, page int, pd *PageData) (int, error) {
-	cp := &PageData{Live: append([]bool(nil), pd.Live...), Rows: make([]Row, len(pd.Rows))}
-	for i, r := range pd.Rows {
-		cp.Rows[i] = CloneRow(r)
+// cloneSlots copies a page deeply enough that neither side sees the other's
+// later writes to a slot or to a cell.
+func cloneSlots(slots []Row) []Row {
+	cp := make([]Row, len(slots), RowsPerPage)
+	for i, r := range slots {
+		if r != nil {
+			cp[i] = CloneRow(r)
+		}
 	}
+	return cp
+}
+
+// slotsBytes is the memory backend's size of a page: a word per slot and the
+// bytes of the live rows.
+func slotsBytes(slots []Row) int64 { return int64(len(slots))*8 + liveBytes(slots) }
+
+// WritePage implements Backend.
+func (b *MemBackend) WritePage(table uint64, page int, slots []Row) (int, error) {
+	cp := cloneSlots(slots)
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	tp := b.pages[table]
 	if tp == nil {
-		tp = make(map[int]*PageData)
+		tp = make(map[int][]Row)
 		b.pages[table] = tp
 	}
 	tp[page] = cp
-	return len(cp.Live)*8 + len(cp.Rows)*24, nil
+	return int(slotsBytes(cp)), nil
 }
 
 // ReadPage implements Backend.
-func (b *MemBackend) ReadPage(table uint64, page int) (*PageData, error) {
+func (b *MemBackend) ReadPage(table uint64, page int) ([]Row, error) {
 	b.mu.RLock()
-	pd := b.pages[table][page]
+	slots, ok := b.pages[table][page]
 	b.mu.RUnlock()
-	if pd == nil {
+	if !ok {
 		return nil, fmt.Errorf("engine: mem backend: no page %d/%d", table, page)
 	}
-	cp := &PageData{Live: append([]bool(nil), pd.Live...), Rows: make([]Row, len(pd.Rows))}
-	for i, r := range pd.Rows {
-		cp.Rows[i] = CloneRow(r)
-	}
-	return cp, nil
+	return cloneSlots(slots), nil
 }
 
 // DeletePage implements Backend.
@@ -288,11 +268,8 @@ func (b *MemBackend) SizeBytes() int64 {
 	defer b.mu.RUnlock()
 	var n int64
 	for _, tp := range b.pages {
-		for _, pd := range tp {
-			n += int64(len(pd.Live)) * 8
-			for _, r := range pd.Rows {
-				n += rowBytes(r)
-			}
+		for _, slots := range tp {
+			n += slotsBytes(slots)
 		}
 	}
 	return n

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"fmt"
+	"strings"
+	"sync"
 
 	"orpheusdb/internal/engine/diskv"
 )
@@ -9,8 +11,9 @@ import (
 // DiskBackend adapts the diskv append-only KV to the engine's Backend
 // interface. Key layout inside the KV:
 //
-//	catalog/table/<id>   gob TableMeta, id as %016x
-//	page/<id>/<page>     gob PageData, id %016x, page %08x
+//	catalog/table/<id>   gob TableMeta, id as 16 hex digits
+//	page/<id>/<page>     one heap page in the layout of pagecodec.go,
+//	                     id 16 hex digits, page 8
 //	meta/settings        gob map[string]string
 //	meta/lsn             uint64 big-endian WAL low-water mark
 //	meta/nextid          uint64 big-endian table-id counter
@@ -18,8 +21,19 @@ import (
 // Table ids (not names) key the pages, so a rename is a catalog-only write.
 // diskv stages Put/Delete until Commit seals them with a commit frame, which
 // is exactly the atomic-checkpoint contract Backend requires.
+//
+// A store written before the page layout existed holds gob-encoded pages.
+// ReadPage reads either (decodePage tells them apart by the first byte),
+// WritePage writes only the layout, and Compact re-encodes what is left as
+// it copies — so such a store upgrades by being used and nothing selects a
+// format.
 type DiskBackend struct {
 	kv *diskv.KV
+
+	// enc is WritePage's encode buffer, reused from page to page (diskv
+	// copies a value into its frame before Put returns).
+	encMu sync.Mutex
+	enc   []byte
 }
 
 // OpenDiskBackend opens (or creates) the single-file KV at path.
@@ -31,9 +45,36 @@ func OpenDiskBackend(path string) (*DiskBackend, error) {
 	return &DiskBackend{kv: kv}, nil
 }
 
-func catalogKey(id uint64) string      { return fmt.Sprintf("catalog/table/%016x", id) }
-func pageKey(id uint64, p int) string  { return fmt.Sprintf("page/%016x/%08x", id, p) }
-func tablePagePrefix(id uint64) string { return fmt.Sprintf("page/%016x/", id) }
+const pageKeyPrefix = "page/"
+
+// appendHex appends v in lower-case hex, zero-padded to at least width digits.
+func appendHex(dst []byte, v uint64, width int) []byte {
+	const digits = "0123456789abcdef"
+	n := width
+	for n < 16 && v>>(4*n) != 0 {
+		n++
+	}
+	for i := n - 1; i >= 0; i-- {
+		dst = append(dst, digits[v>>(4*i)&0xf])
+	}
+	return dst
+}
+
+func catalogKey(id uint64) string {
+	return string(appendHex([]byte("catalog/table/"), id, 16))
+}
+
+// appendTablePagePrefix appends "page/<id>/", the prefix of a table's pages.
+func appendTablePagePrefix(dst []byte, id uint64) []byte {
+	return append(appendHex(append(dst, pageKeyPrefix...), id, 16), '/')
+}
+
+func tablePagePrefix(id uint64) string { return string(appendTablePagePrefix(nil, id)) }
+
+func pageKey(id uint64, p int) string {
+	var buf [len(pageKeyPrefix) + 16 + 1 + 8]byte
+	return string(appendHex(appendTablePagePrefix(buf[:0], id), uint64(p), 8))
+}
 
 // Kind implements Backend.
 func (b *DiskBackend) Kind() string { return "disk" }
@@ -89,11 +130,14 @@ func (b *DiskBackend) DeleteTable(id uint64, pages int) error {
 }
 
 // WritePage implements Backend.
-func (b *DiskBackend) WritePage(table uint64, page int, pd *PageData) (int, error) {
-	raw, err := encodePage(pd)
+func (b *DiskBackend) WritePage(table uint64, page int, slots []Row) (int, error) {
+	b.encMu.Lock()
+	defer b.encMu.Unlock()
+	raw, err := encodePage(b.enc[:0], slots)
 	if err != nil {
 		return 0, err
 	}
+	b.enc = raw
 	if err := b.kv.Put(pageKey(table, page), raw); err != nil {
 		return 0, err
 	}
@@ -101,13 +145,14 @@ func (b *DiskBackend) WritePage(table uint64, page int, pd *PageData) (int, erro
 }
 
 // ReadPage implements Backend.
-func (b *DiskBackend) ReadPage(table uint64, page int) (*PageData, error) {
-	raw, ok, err := b.kv.Get(pageKey(table, page))
+func (b *DiskBackend) ReadPage(table uint64, page int) ([]Row, error) {
+	key := pageKey(table, page)
+	raw, ok, err := b.kv.Get(key)
 	if err != nil {
 		return nil, err
 	}
 	if !ok {
-		return nil, fmt.Errorf("engine: disk backend: missing page %016x/%08x", table, page)
+		return nil, fmt.Errorf("engine: disk backend: missing %s", key)
 	}
 	return decodePage(raw)
 }
@@ -132,7 +177,23 @@ func (b *DiskBackend) Maintain() error {
 	if !b.kv.ShouldCompact() {
 		return nil
 	}
-	return b.kv.Compact()
+	return b.Compact()
+}
+
+// Compact rewrites the file down to its live keys. Pages still in the gob
+// format are re-encoded on the way, so the file that comes out holds the
+// page layout only.
+func (b *DiskBackend) Compact() error {
+	return b.kv.Compact(func(key string, val []byte) ([]byte, error) {
+		if !strings.HasPrefix(key, pageKeyPrefix) || !isLegacyPage(val) {
+			return val, nil
+		}
+		slots, err := decodePage(val)
+		if err != nil {
+			return nil, err
+		}
+		return encodePage(nil, slots)
+	})
 }
 
 // SizeBytes implements Backend.

@@ -367,7 +367,14 @@ func (kv *KV) ShouldCompact() bool {
 // store path. It must not run with staged (uncommitted) writes — the rewrite
 // persists the index as one committed batch, which would silently commit
 // them. Readers are blocked for the duration.
-func (kv *KV) Compact() error {
+//
+// Each live value passes through rewrite (when not nil) on its way into the
+// fresh file, and what rewrite returns is what the file holds afterwards: the
+// store's owner brings values in an older encoding up to date at the one
+// moment every value is being read and written anyway. val is only valid
+// during the call; rewrite may return it unchanged. An error abandons the
+// compaction and leaves the old file in place.
+func (kv *KV) Compact(rewrite func(key string, val []byte) ([]byte, error)) error {
 	kv.mu.Lock()
 	defer kv.mu.Unlock()
 	if kv.closed {
@@ -405,13 +412,20 @@ func (kv *KV) Compact() error {
 			cleanup()
 			return fmt.Errorf("diskv: compact read %q: %w", k, err)
 		}
+		val := buf
+		if rewrite != nil {
+			if val, err = rewrite(k, buf); err != nil {
+				cleanup()
+				return fmt.Errorf("diskv: compact rewrite %q: %w", k, err)
+			}
+		}
 		valOff := next.writeOff + frameHeadLen + int64(len(k))
-		frameSz := int64(frameHeadLen) + int64(len(k)) + int64(len(buf))
-		if err := next.appendFrame(kindPut, k, buf); err != nil {
+		frameSz := int64(frameHeadLen) + int64(len(k)) + int64(len(val))
+		if err := next.appendFrame(kindPut, k, val); err != nil {
 			cleanup()
 			return err
 		}
-		next.index[k] = loc{valOff: valOff, vlen: l.vlen, frameSz: frameSz}
+		next.index[k] = loc{valOff: valOff, vlen: uint32(len(val)), frameSz: frameSz}
 	}
 	if err := next.appendFrame(kindCommit, "", nil); err != nil {
 		cleanup()

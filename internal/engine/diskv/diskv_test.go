@@ -152,7 +152,7 @@ func TestCompactDropsGarbage(t *testing.T) {
 	if before.GarbageBytes == 0 {
 		t.Fatal("overwrites produced no garbage")
 	}
-	if err := kv.Compact(); err != nil {
+	if err := kv.Compact(nil); err != nil {
 		t.Fatal(err)
 	}
 	after := kv.Stats()
@@ -175,7 +175,7 @@ func TestCompactRefusesStagedWrites(t *testing.T) {
 	kv := openT(t, filepath.Join(t.TempDir(), "kv.odb"))
 	defer kv.Close()
 	kv.Put("k", []byte("v"))
-	if err := kv.Compact(); err == nil {
+	if err := kv.Compact(nil); err == nil {
 		t.Fatal("Compact accepted uncommitted writes")
 	}
 }

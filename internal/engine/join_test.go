@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"orpheusdb/internal/bitmap"
 )
 
 // buildJoinTable creates a table of n rows keyed by rid, optionally clustered
@@ -234,5 +236,59 @@ func TestHashJoinGeneric(t *testing.T) {
 	sort.Strings(got)
 	if len(got) != 2 || got[0] != "bx" || got[1] != "by" {
 		t.Fatalf("generic join: %v", got)
+	}
+}
+
+// TestScanCountsRowsOncePerPage: Table.Scan and both probe scans add to the
+// shared RowsScanned counter once per page, and the totals are what the
+// per-row adds gave: every live row visited, tombstones not, and the row an
+// early stop ended on included.
+func TestScanCountsRowsOncePerPage(t *testing.T) {
+	n := RowsPerPage*20 + 37 // ≥ setJoinMinPages pages, a short last one
+	db, tab := buildJoinTable(t, n, "")
+	var dead []RowID
+	tab.Scan(func(id RowID, r Row) bool {
+		if r[0].I%5 == 0 {
+			dead = append(dead, id)
+		}
+		return true
+	})
+	tab.DeleteBatch(dead)
+	live, pages := int64(n-len(dead)), int64(tab.NumPages())
+
+	db.Stats().Reset()
+	tab.Scan(func(RowID, Row) bool { return true })
+	if got := db.Stats().Snapshot(); got.RowsScanned != live || got.SeqPages != pages {
+		t.Fatalf("full scan: %d rows over %d pages, want %d over %d", got.RowsScanned, got.SeqPages, live, pages)
+	}
+
+	stopAfter := int64(RowsPerPage + 10) // ends inside the second page
+	db.Stats().Reset()
+	seen := int64(0)
+	tab.Scan(func(RowID, Row) bool { seen++; return seen < stopAfter })
+	if got := db.Stats().Snapshot(); got.RowsScanned != stopAfter || got.SeqPages != 2 {
+		t.Fatalf("stopped scan: %d rows over %d pages, want %d over 2", got.RowsScanned, got.SeqPages, stopAfter)
+	}
+
+	set := bitmap.FromSlice([]int64{1, 2, 3, int64(n - 1), int64(n / 2)})
+	defer SetJoinWorkers(0)
+	var first StatSnapshot
+	for _, workers := range []int{1, 4} {
+		SetJoinWorkers(workers)
+		db.Stats().Reset()
+		rows, err := JoinRidsSet(tab, 0, set, HashJoin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := db.Stats().Snapshot()
+		if len(rows) != 5 || got.RowsScanned != live || got.SeqPages != pages || got.RandPages != 0 {
+			t.Fatalf("%d workers: %d rows out, %d scanned over %d+%d pages, want 5, %d over %d+0",
+				workers, len(rows), got.RowsScanned, got.SeqPages, got.RandPages, live, pages)
+		}
+		if workers == 1 {
+			first = got
+		} else if got != first {
+			t.Fatalf("parallel scan stats %+v differ from sequential %+v", got, first)
+		}
 	}
 }

@@ -103,30 +103,31 @@ func (t *Table) writablePage(p int) []Row {
 // zeroed page of the right geometry is returned un-installed so readers see
 // bounds-safe tombstones instead of a panic.
 func (t *Table) faultLocked(p int) ([]Row, int64, bool) {
-	pd, err := t.backend.ReadPage(t.id, p)
+	slots, err := t.backend.ReadPage(t.id, p)
+	if err == nil && len(slots) != t.slotCount(p) {
+		err = fmt.Errorf("backend returned %d slots, want %d", len(slots), t.slotCount(p))
+	}
 	if err == nil {
-		var slots []Row
-		slots, err = pd.slots()
-		if err == nil && len(slots) != t.slotCount(p) {
-			err = fmt.Errorf("engine: table %s page %d: backend returned %d slots, want %d",
-				t.name, p, len(slots), t.slotCount(p))
-		}
-		if err == nil {
-			t.pages[p] = slots
-			t.resident[p] = true
-			var nbytes int64
-			for _, r := range slots {
-				if r != nil {
-					nbytes += rowBytes(r)
-				}
-			}
-			t.pageBytes[p] = nbytes
-			t.stats.PageFaults.Add(1)
-			return slots, nbytes, true
-		}
+		t.pages[p] = slots
+		t.resident[p] = true
+		nbytes := liveBytes(slots)
+		t.pageBytes[p] = nbytes
+		t.stats.PageFaults.Add(1)
+		return slots, nbytes, true
 	}
 	t.db.setBackendErr(fmt.Errorf("engine: table %s page %d: %w", t.name, p, err))
 	return make([]Row, t.slotCount(p)), 0, false
+}
+
+// liveBytes is the estimated size of a page's live rows.
+func liveBytes(slots []Row) int64 {
+	var n int64
+	for _, r := range slots {
+		if r != nil {
+			n += rowBytes(r)
+		}
+	}
+	return n
 }
 
 // backendAppend places row r (of rb estimated bytes) in the heap of a
@@ -491,7 +492,7 @@ func (t *Table) flushPages(b Backend) (int64, error) {
 
 	var written int64
 	for i, p := range dirty {
-		n, err := b.WritePage(t.id, p, pageDataFromSlots(slices[i]))
+		n, err := b.WritePage(t.id, p, slices[i])
 		written += int64(n)
 		if err != nil {
 			return written, err

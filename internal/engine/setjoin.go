@@ -76,18 +76,27 @@ func probeJoinSeq(t *Table, ridCol int, set *bitmap.Bitmap, card int) []Row {
 	out := make([]Row, 0, card)
 	pr := bitmap.NewProber(set)
 	for p := 0; p < len(t.pages); p++ {
-		page := t.page(p)
-		t.stats.SeqPages.Add(1)
-		for _, r := range page {
-			if r == nil {
-				continue
-			}
-			t.stats.RowsScanned.Add(1)
-			if pr.Contains(r[ridCol].I) {
-				out = append(out, r)
-			}
+		out = probePage(t, p, ridCol, pr, out)
+	}
+	return out
+}
+
+// probePage appends to out the rows of page p whose rid is in the probed
+// set, with Table.Scan's accounting: one sequential page, and the live rows
+// added to the shared counter once for the page rather than once per row.
+func probePage(t *Table, p, ridCol int, pr *bitmap.Prober, out []Row) []Row {
+	t.stats.SeqPages.Add(1)
+	scanned := int64(0)
+	for _, r := range t.page(p) {
+		if r == nil {
+			continue
+		}
+		scanned++
+		if pr.Contains(r[ridCol].I) {
+			out = append(out, r)
 		}
 	}
+	t.stats.RowsScanned.Add(scanned)
 	return out
 }
 
@@ -116,17 +125,7 @@ func probeJoinParallel(t *Table, ridCol int, set *bitmap.Bitmap, card, workers i
 		buf := make([]Row, 0, card/nChunks+8)
 		pr := bitmap.NewProber(set)
 		for p := lo; p < hi; p++ {
-			page := t.page(p)
-			t.stats.SeqPages.Add(1)
-			for _, r := range page {
-				if r == nil {
-					continue
-				}
-				t.stats.RowsScanned.Add(1)
-				if pr.Contains(r[ridCol].I) {
-					buf = append(buf, r)
-				}
-			}
+			buf = probePage(t, p, ridCol, pr, buf)
 		}
 		results[ci] = buf
 	}

@@ -257,15 +257,20 @@ func (t *Table) Scan(fn func(id RowID, r Row) bool) {
 	for p := 0; p < len(t.pages); p++ {
 		page := t.page(p)
 		t.stats.SeqPages.Add(1)
+		// The counter is shared by every request goroutine: one add per
+		// page, not one per row.
+		scanned := int64(0)
 		for s, r := range page {
 			if r == nil {
 				continue
 			}
-			t.stats.RowsScanned.Add(1)
+			scanned++
 			if !fn(MakeRowID(p, s), r) {
+				t.stats.RowsScanned.Add(scanned)
 				return
 			}
 		}
+		t.stats.RowsScanned.Add(scanned)
 	}
 }
 

@@ -22,7 +22,9 @@ type Kind uint8
 // Supported kinds. IntArray is the array type the paper relies on for vlist
 // and rlist attributes (PostgreSQL's int[]); Bitmap is its compressed
 // replacement — a roaring-style set the versioning tables store membership
-// in, combinable with O(chunk) set algebra instead of O(n) array scans.
+// in, combinable with O(chunk) set algebra instead of O(n) array scans. The
+// numeric values are written into heap pages and WAL records: append new
+// kinds, never renumber.
 const (
 	KindNull Kind = iota
 	KindInt

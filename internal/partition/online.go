@@ -40,6 +40,11 @@ type Online struct {
 	// bestWeightedCavg caches the weighted cost of bestGroups under weights
 	// (-1 = stale, recomputed on demand).
 	bestWeightedCavg float64
+	// bestSized is bestGroups with each group's record count and nothing
+	// else (no membership sets, no Of): the bitmap unions behind the
+	// weighted baseline, taken once per grouping (nil = not yet) so that new
+	// weights cost arithmetic only.
+	bestSized *Partitioning
 
 	// Migrations records every migration that occurred, in commit order.
 	Migrations []MigrationEvent
@@ -190,8 +195,11 @@ func (o *Online) register(v vgraph.VersionID, parents []vgraph.VersionID, set *b
 // weighted cost of the best grouping — so drift reflects the traffic the
 // store actually serves, not the uniform assumption.
 func (o *Online) Drifted(cavg float64) bool {
+	if o.Mu <= 0 {
+		return false // observe-only: nobody compares against the baseline
+	}
 	best := o.BestCost()
-	return o.Mu > 0 && best > 0 && cavg > o.Mu*best
+	return best > 0 && cavg > o.Mu*best
 }
 
 // SetAccessWeights attaches observed per-version checkout frequencies (e.g.
@@ -209,14 +217,22 @@ func (o *Online) AccessWeights() map[vgraph.VersionID]int64 { return o.weights }
 
 // BestCost returns the drift baseline: C*avg from the last LYRESPLIT refresh,
 // reweighted by the attached access frequencies when present (cached until
-// the weights or the best grouping change).
+// the weights or the best grouping change). Only a new grouping costs bitmap
+// unions; new weights over the same grouping cost one pass over the versions.
 func (o *Online) BestCost() float64 {
 	if o.weights == nil || len(o.bestGroups) == 0 {
 		return o.bestCavg
 	}
-	if o.bestWeightedCavg < 0 {
-		o.bestWeightedCavg = FromVersionGroups(o.bip, o.bestGroups).WeightedCheckoutCost(o.weights)
+	if o.bestWeightedCavg >= 0 {
+		return o.bestWeightedCavg
 	}
+	if o.bestSized == nil {
+		o.bestSized = &Partitioning{Parts: make([]Part, len(o.bestGroups))}
+		for i, g := range o.bestGroups {
+			o.bestSized.Parts[i] = Part{Versions: g, NumRecords: o.bip.UnionSize(g)}
+		}
+	}
+	o.bestWeightedCavg = o.bestSized.WeightedCheckoutCost(o.weights)
 	return o.bestWeightedCavg
 }
 
@@ -304,6 +320,7 @@ func (o *Online) refreshBest() error {
 	o.deltaStar = res.Delta
 	o.bestGroups = res.Groups
 	o.bestWeightedCavg = -1
+	o.bestSized = nil
 	return nil
 }
 
@@ -337,5 +354,6 @@ func (o *Online) migrate() error {
 	o.bestCavg = res.EstCheckout
 	o.bestGroups = res.Groups
 	o.bestWeightedCavg = -1
+	o.bestSized = nil
 	return nil
 }

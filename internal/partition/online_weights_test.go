@@ -65,3 +65,49 @@ func TestAccessWeightsFlipDriftDecision(t *testing.T) {
 		t.Fatal("uniform drift verdict lost after weight reset")
 	}
 }
+
+// TestReweightingCostsNoUnions: the bitmap unions behind the weighted
+// baseline are taken once per best grouping. New weights over the same
+// grouping — what every optimizer sweep brings — cost arithmetic only, and
+// an observe-only maintainer (Mu = 0) never computes the baseline at all.
+func TestReweightingCostsNoUnions(t *testing.T) {
+	o := NewOnline(2.0, 2)
+	for v := vgraph.VersionID(1); v <= 40; v++ {
+		var parents []vgraph.VersionID
+		if v > 1 {
+			parents = []vgraph.VersionID{v - 1}
+		}
+		if err := o.ObserveCommit(v, parents, seqSet(int64(100+10*v))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	weights := []map[vgraph.VersionID]int64{{1: 5, 40: 90}, {2: 70, 39: 3}}
+	o.SetAccessWeights(weights[0])
+	o.Drifted(100) // takes the unions
+	want := FromVersionGroups(o.bip, o.bestGroups).WeightedCheckoutCost(weights[1])
+	i := 0
+	allocs := testing.AllocsPerRun(20, func() {
+		i++
+		o.SetAccessWeights(weights[i%2])
+		o.Drifted(100)
+	})
+	if allocs != 0 {
+		t.Errorf("SetAccessWeights+Drifted allocated %.0f times per call, want 0", allocs)
+	}
+	o.SetAccessWeights(weights[1])
+	if got := o.BestCost(); got != want {
+		t.Errorf("reweighted best cost = %g, want %g", got, want)
+	}
+
+	o.Mu = 0
+	if err := o.ObserveCommit(41, []vgraph.VersionID{40}, seqSet(600)); err != nil {
+		t.Fatal(err)
+	}
+	o.SetAccessWeights(weights[0])
+	if o.Drifted(1e9) {
+		t.Error("Mu = 0 reported drift")
+	}
+	if o.bestSized != nil {
+		t.Error("Mu = 0: Drifted computed the baseline nobody compares against")
+	}
+}

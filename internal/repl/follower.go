@@ -310,46 +310,82 @@ func (f *Follower) checkCaughtUp(st *orpheusdb.Store) {
 	}
 }
 
-// Verify cross-checks the follower against the primary: every dataset the
-// primary lists must exist locally with the identical version list. Each
-// applied commit already verified its version id and membership bitmap
-// record-by-record (the store's replay divergence checks), so this is the
+// Verify cross-checks the follower against the primary's dataset listing.
+// Each applied commit already verified its version id and membership bitmap
+// record by record (the store's replay divergence checks), so this is the
 // catalog-level complement run after catch-up.
+//
+// The primary does not stop committing for it. The listing describes the
+// primary at some LSN between the follower's applied watermark (a follower is
+// never ahead) and the LSN the primary reports right after, so what can be
+// demanded is: every local version list is a prefix of the primary's, and —
+// only when that later LSN is still the applied one, which pins the listing
+// to it — the lists are equal and no dataset is missing. Anything stricter
+// reports the primary's progress as a divergence. It reads the local store
+// at one watermark, so it must not run beside the apply loop; the tail loop
+// calls it between records.
 func (f *Follower) Verify() error {
-	resp, err := f.cfg.Client.Get(f.cfg.Primary + "/api/v1/datasets")
-	if err != nil {
-		return fmt.Errorf("repl: verify: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("repl: verify: primary answered %s", resp.Status)
-	}
-	var body struct {
+	st := f.Store()
+	applied := st.WALStatus().AppliedLSN
+	var listing struct {
 		Datasets []struct {
 			Name     string  `json:"name"`
 			Versions []int64 `json:"versions"`
 		} `json:"datasets"`
 	}
-	if err := decodeJSON(resp.Body, &body); err != nil {
-		return fmt.Errorf("repl: verify: %w", err)
+	if err := f.getJSON("/api/v1/datasets", &listing); err != nil {
+		return err
 	}
-	st := f.Store()
-	for _, ds := range body.Datasets {
+	var after struct {
+		AppliedLSN uint64 `json:"appliedLSN"`
+	}
+	if err := f.getJSON("/api/v1/wal/status", &after); err != nil {
+		return err
+	}
+	exact := after.AppliedLSN == applied
+	for _, ds := range listing.Datasets {
 		d, err := st.Dataset(ds.Name)
 		if err != nil {
+			if !exact {
+				continue // created past our watermark; its init record is on the way
+			}
 			return fmt.Errorf("repl: verify: dataset %q missing locally: %w", ds.Name, err)
 		}
-		local := d.Versions()
-		if len(local) != len(ds.Versions) {
-			return fmt.Errorf("repl: verify: dataset %q has %d local versions, primary has %d",
-				ds.Name, len(local), len(ds.Versions))
+		if err := checkVersions(ds.Name, d.Versions(), ds.Versions, exact); err != nil {
+			return err
 		}
-		for i, v := range local {
-			if int64(v) != ds.Versions[i] {
-				return fmt.Errorf("repl: verify: dataset %q version %d is %d locally, %d on primary",
-					ds.Name, i, v, ds.Versions[i])
-			}
+	}
+	return nil
+}
+
+// checkVersions holds a local version list against the primary's: a prefix
+// of it, and all of it when exact.
+func checkVersions(name string, local []orpheusdb.VersionID, primary []int64, exact bool) error {
+	if len(local) > len(primary) || (exact && len(local) != len(primary)) {
+		return fmt.Errorf("repl: verify: dataset %q has %d local versions, primary has %d",
+			name, len(local), len(primary))
+	}
+	for i, v := range local {
+		if int64(v) != primary[i] {
+			return fmt.Errorf("repl: verify: dataset %q version %d is %d locally, %d on primary",
+				name, i, v, primary[i])
 		}
+	}
+	return nil
+}
+
+// getJSON decodes the primary's 200 answer to GET path into dst.
+func (f *Follower) getJSON(path string, dst any) error {
+	resp, err := f.cfg.Client.Get(f.cfg.Primary + path)
+	if err != nil {
+		return fmt.Errorf("repl: verify: %w", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("repl: verify: primary answered %s to %s", resp.Status, path)
+	}
+	if err := decodeJSON(resp.Body, dst); err != nil {
+		return fmt.Errorf("repl: verify: %s: %w", path, err)
 	}
 	return nil
 }

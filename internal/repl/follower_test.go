@@ -20,20 +20,33 @@ import (
 // newPrimary builds a WAL-enabled primary store and its HTTP server.
 func newPrimary(t *testing.T) (*orpheusdb.Store, *httptest.Server) {
 	t.Helper()
+	return newPrimaryWAL(t, orpheusdb.WALConfig{Policy: orpheusdb.FsyncOff})
+}
+
+// newPrimaryWAL is newPrimary with a say over the WAL (its directory is set
+// here). The teardown runs before the test's temporary directory is removed
+// and leaves nothing behind that still writes into it: the server goes
+// first, so no stream handler reads a WAL that is being closed, and the
+// store is closed, which cancels its debounced save — one that fired into
+// the directory while it was being deleted failed the test with "directory
+// not empty".
+func newPrimaryWAL(t *testing.T, cfg orpheusdb.WALConfig) (*orpheusdb.Store, *httptest.Server) {
+	t.Helper()
 	dir := t.TempDir()
 	st, err := orpheusdb.OpenStore(filepath.Join(dir, "primary.odb"))
 	if err != nil {
 		t.Fatalf("open primary: %v", err)
 	}
-	if err := st.EnableWAL(orpheusdb.WALConfig{
-		Dir:    filepath.Join(dir, "wal"),
-		Policy: orpheusdb.FsyncOff,
-	}); err != nil {
+	cfg.Dir = filepath.Join(dir, "wal")
+	if err := st.EnableWAL(cfg); err != nil {
 		t.Fatalf("enable wal: %v", err)
 	}
 	srv := httptest.NewServer(server.New(st, nil))
-	t.Cleanup(srv.Close)
-	t.Cleanup(func() { st.CloseWAL() })
+	t.Cleanup(func() {
+		srv.Close()
+		st.Close()
+		st.CloseWAL()
+	})
 	return st, srv
 }
 
@@ -377,5 +390,91 @@ func TestRouterRouting(t *testing.T) {
 	}
 	if status.RoutedReads < 2 || status.RoutedWrites < 1 {
 		t.Fatalf("routed counts = %d reads / %d writes, want >=2 / >=1", status.RoutedReads, status.RoutedWrites)
+	}
+}
+
+// gateTransport holds every request whose path ends in suffix until release
+// is closed, and says on arrived that one is waiting.
+type gateTransport struct {
+	suffix  string
+	arrived chan struct{}
+	release chan struct{}
+}
+
+func (g *gateTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if strings.HasSuffix(req.URL.Path, g.suffix) {
+		select {
+		case g.arrived <- struct{}{}:
+		default:
+		}
+		<-g.release
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// TestVerifyAgainstBusyPrimary: the primary commits between the follower's
+// first catch-up and the dataset listing its one-time Verify fetches. The
+// extra versions are the primary's progress, not a divergence, and must not
+// stick in LastError — the failure TestFollowerConvergence hit whenever the
+// commits after its first waitCaughtUp won that race.
+func TestVerifyAgainstBusyPrimary(t *testing.T) {
+	primary, srv := newPrimary(t)
+	d, err := primary.Init("prot", testColumns(), orpheusdb.InitOptions{PrimaryKey: []string{"id"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	commitN(t, d, 3, "pre")
+
+	gate := &gateTransport{suffix: "/api/v1/datasets", arrived: make(chan struct{}, 1), release: make(chan struct{})}
+	f, err := StartFollower(FollowerConfig{
+		Primary:        srv.URL,
+		Client:         &http.Client{Transport: gate},
+		WaitMS:         100,
+		ReconnectDelay: 10 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	select {
+	case <-gate.arrived:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the follower never ran its first-catch-up Verify")
+	}
+	commitN(t, d, 4, "post")
+	if _, err := primary.Init("second", testColumns(), orpheusdb.InitOptions{PrimaryKey: []string{"id"}}); err != nil {
+		t.Fatal(err)
+	}
+	close(gate.release)
+
+	waitCaughtUp(t, f, primary)
+	assertConverged(t, primary, f.Store())
+	if info := f.Info(); info.LastError != "" {
+		t.Fatalf("follower reports a divergence that is not one: %s", info.LastError)
+	}
+	// Quiescent now: the exact form of the check applies and passes.
+	if err := f.Verify(); err != nil {
+		t.Fatalf("Verify at equal LSNs: %v", err)
+	}
+}
+
+// TestCheckVersions: what Verify accepts and what it reports.
+func TestCheckVersions(t *testing.T) {
+	local := []orpheusdb.VersionID{1, 2, 3}
+	for _, c := range []struct {
+		name    string
+		primary []int64
+		exact   bool
+		ok      bool
+	}{
+		{"equal", []int64{1, 2, 3}, true, true},
+		{"primary ahead", []int64{1, 2, 3, 4, 5}, false, true},
+		{"primary ahead at the same LSN", []int64{1, 2, 3, 4}, true, false},
+		{"follower ahead", []int64{1, 2}, false, false},
+		{"different history", []int64{1, 7, 3, 4}, false, false},
+	} {
+		if err := checkVersions("ds", local, c.primary, c.exact); (err == nil) != c.ok {
+			t.Errorf("%s: err = %v, want ok=%v", c.name, err, c.ok)
+		}
 	}
 }

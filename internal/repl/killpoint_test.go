@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,7 +11,6 @@ import (
 	"time"
 
 	orpheusdb "orpheusdb"
-	"orpheusdb/internal/server"
 )
 
 // Kill-point matrix for replication, extending the PR 3/7 crash-matrix
@@ -179,22 +176,8 @@ func TestKillPointStreamTail(t *testing.T) {
 // primary checkpoints past its position: the stream answers 410 and the
 // follower must transparently re-bootstrap from a fresh snapshot.
 func TestKillPointRebootstrapAfterTruncate(t *testing.T) {
-	dir := t.TempDir()
-	primary, err := orpheusdb.OpenStore(filepath.Join(dir, "primary.odb"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Tiny segments so a checkpoint actually truncates history away.
-	if err := primary.EnableWAL(orpheusdb.WALConfig{
-		Dir:          filepath.Join(dir, "wal"),
-		Policy:       orpheusdb.FsyncOff,
-		SegmentBytes: 256,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	defer primary.CloseWAL()
-	srv := httptest.NewServer(server.New(primary, nil))
-	defer srv.Close()
+	primary, srv := newPrimaryWAL(t, orpheusdb.WALConfig{Policy: orpheusdb.FsyncOff, SegmentBytes: 256})
 
 	d, err := primary.Init("kp", testColumns(), orpheusdb.InitOptions{PrimaryKey: []string{"id"}})
 	if err != nil {
