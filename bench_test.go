@@ -1,377 +1,22 @@
 package orpheusdb
 
-// Benchmarks regenerating the paper's tables and figures via testing.B.
-// Each benchmark exercises the code path behind one artifact at a small
-// scale; `cmd/orpheus-bench` runs the full sweeps and prints the series.
+// Microbenchmarks with no other home: the rlist range-encoding ablation and
+// the slice-vs-bitmap membership comparison. Everything that measures the
+// served system lives in bench/ (`bash bench/run.sh`); the paper's tables
+// and figures are reproduced by `cmd/orpheus-bench`.
 //
-//	go test -bench=. -benchmem
+//	go test -run=NONE -bench=. -benchmem .
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
 	"sort"
 	"testing"
 
 	"orpheusdb/internal/benchgen"
 	"orpheusdb/internal/bitmap"
-	"orpheusdb/internal/core"
 	"orpheusdb/internal/engine"
-	"orpheusdb/internal/experiments"
-	"orpheusdb/internal/partition"
-	"orpheusdb/internal/vgraph"
 )
-
-const benchScale = 0.004
-
-func benchDataset(b *testing.B, name string) *benchgen.Dataset {
-	b.Helper()
-	d, err := benchgen.Standard(name, benchScale, 42)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return d
-}
-
-// BenchmarkTable2Gen measures benchmark dataset generation (Table 2).
-func BenchmarkTable2Gen(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		d, err := benchgen.Standard("SCI_1M", benchScale, int64(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = d.Stats()
-	}
-}
-
-// loadedCVD builds a CVD holding the whole dataset under one model.
-func loadedCVD(b *testing.B, d *benchgen.Dataset, kind core.ModelKind) *core.CVD {
-	b.Helper()
-	cvd, err := experiments.LoadDatasetCVD(engine.NewDB(), d, kind)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return cvd
-}
-
-// BenchmarkFig3Checkout measures Figure 3c: checkout of the latest version
-// under each data model.
-func BenchmarkFig3Checkout(b *testing.B) {
-	d := benchDataset(b, "SCI_1M")
-	for _, kind := range append(core.AllModelKinds(), core.PartitionedRlistModel) {
-		b.Run(string(kind), func(b *testing.B) {
-			cvd := loadedCVD(b, d, kind)
-			latest := cvd.LatestVersion()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := cvd.Checkout(latest); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkFig3Commit measures Figure 3b: committing the latest version back
-// under each data model.
-func BenchmarkFig3Commit(b *testing.B) {
-	d := benchDataset(b, "SCI_1M")
-	for _, kind := range core.AllModelKinds() {
-		b.Run(string(kind), func(b *testing.B) {
-			cvd := loadedCVD(b, d, kind)
-			latest := cvd.LatestVersion()
-			rows, err := cvd.Checkout(latest)
-			if err != nil {
-				b.Fatal(err)
-			}
-			parent := latest
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				v, err := cvd.Commit(rows, []vgraph.VersionID{parent}, "bench")
-				if err != nil {
-					b.Fatal(err)
-				}
-				parent = v
-			}
-		})
-	}
-}
-
-// BenchmarkFig3Storage reports Figure 3a's storage per model as a custom
-// metric (bytes).
-func BenchmarkFig3Storage(b *testing.B) {
-	d := benchDataset(b, "SCI_1M")
-	for _, kind := range core.AllModelKinds() {
-		b.Run(string(kind), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cvd := loadedCVD(b, d, kind)
-				b.ReportMetric(float64(cvd.StorageBytes()), "storage-bytes")
-			}
-		})
-	}
-}
-
-// BenchmarkFig9Algorithms measures one partitioning run per algorithm under
-// γ = 2|R| (the work behind each Figure 9 sweep point).
-func BenchmarkFig9Algorithms(b *testing.B) {
-	d := benchDataset(b, "SCI_1M")
-	bip := d.Bipartite()
-	g := d.Graph()
-	gamma := 2 * bip.NumRecords()
-	b.Run("LyreSplit", func(b *testing.B) {
-		tree := g.ToTree()
-		for i := 0; i < b.N; i++ {
-			ls := &partition.LyreSplit{Tree: tree}
-			if _, err := ls.Solve(gamma); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("AGGLO", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ag := &partition.Agglo{B: bip, Seed: 42}
-			ag.Run(gamma)
-		}
-	})
-	b.Run("KMEANS", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			km := &partition.KMeans{B: bip, Seed: 42}
-			km.Run(8)
-		}
-	})
-}
-
-// BenchmarkFig1213Checkout measures checkout latency without partitioning
-// versus under a LYRESPLIT partitioning at γ = 2|R| (Figures 12/13).
-func BenchmarkFig1213Checkout(b *testing.B) {
-	d := benchDataset(b, "SCI_1M")
-	bip := d.Bipartite()
-	g := d.Graph()
-	latest := bip.Versions()[len(bip.Versions())-1]
-
-	b.Run("without-partitioning", func(b *testing.B) {
-		ps, err := experiments.BuildPhysStore(d, partition.NewSinglePartition(bip))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := ps.Checkout(latest, engine.HashJoin); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("lyresplit-gamma2", func(b *testing.B) {
-		ls := &partition.LyreSplit{Tree: g.ToTree()}
-		res, err := ls.Solve(2 * bip.NumRecords())
-		if err != nil {
-			b.Fatal(err)
-		}
-		ps, err := experiments.BuildPhysStore(d, partition.FromVersionGroups(bip, res.Groups))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := ps.Checkout(latest, engine.HashJoin); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkFig1415Online measures the per-commit cost of online maintenance
-// including the per-commit LYRESPLIT re-solve (Figures 14/15).
-func BenchmarkFig1415Online(b *testing.B) {
-	d := benchgen.Generate(benchgen.Config{
-		Workload:      benchgen.SCI,
-		TargetRecords: 10_000,
-		Branches:      40,
-		OpsPerCommit:  25,
-		Seed:          42,
-	})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		o := partition.NewOnline(1.5, 1.5)
-		for _, c := range d.Commits {
-			if _, err := o.Commit(c.ID, c.Parents, c.Records); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// BenchmarkFig19Joins measures the three join methods on rid- and
-// pk-clustered tables (Figure 19 / Appendix D.1).
-func BenchmarkFig19Joins(b *testing.B) {
-	const tableRows = 50_000
-	const rlistLen = 5_000
-	for _, clustered := range []string{"rid", "pk"} {
-		db := engine.NewDB()
-		tab, err := db.CreateTable("data"+clustered, []engine.Column{
-			{Name: "rid", Type: engine.KindInt},
-			{Name: "pk", Type: engine.KindInt},
-			{Name: "val", Type: engine.KindInt},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < tableRows; i++ {
-			pk := (i*7919 + 13) % tableRows // scrambled
-			if _, err := tab.Insert(engine.Row{
-				engine.IntValue(int64(i)), engine.IntValue(int64(pk)), engine.IntValue(int64(i)),
-			}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		col := "rid"
-		if clustered == "pk" {
-			col = "pk"
-		}
-		if err := tab.Cluster(col); err != nil {
-			b.Fatal(err)
-		}
-		if err := tab.CreateIndex("rid"); err != nil {
-			b.Fatal(err)
-		}
-		rlist := make([]int64, rlistLen)
-		for i := range rlist {
-			rlist[i] = int64((i * 9973) % tableRows)
-		}
-		for _, m := range []engine.JoinMethod{engine.HashJoin, engine.MergeJoin, engine.IndexNestedLoopJoin} {
-			b.Run(fmt.Sprintf("%s-clustered-%s", m, clustered), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := engine.JoinRids(tab, 0, rlist, m); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkPublicCommit measures the end-to-end commit path of the public
-// API (record hashing, identity matching, model insert, metadata).
-func BenchmarkPublicCommit(b *testing.B) {
-	store := NewStore()
-	cols := []Column{{Name: "k", Type: KindInt}, {Name: "v", Type: KindInt}}
-	ds, err := store.Init("bench", cols, InitOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	rows := make([]Row, 1000)
-	for i := range rows {
-		rows[i] = Row{Int(int64(i)), Int(int64(i * 3))}
-	}
-	parent, err := ds.Commit(rows, nil, "root")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows[i%len(rows)] = Row{Int(int64(i % len(rows))), Int(int64(i + 1_000_000))}
-		v, err := ds.Commit(rows, []VersionID{parent}, "bench")
-		if err != nil {
-			b.Fatal(err)
-		}
-		parent = v
-	}
-}
-
-// BenchmarkVersionedSQL measures the query translator: a SQL aggregate over
-// one version of a CVD, including temp materialization.
-func BenchmarkVersionedSQL(b *testing.B) {
-	store := NewStore()
-	cols := []Column{{Name: "k", Type: KindInt}, {Name: "v", Type: KindInt}}
-	ds, err := store.Init("q", cols, InitOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	rows := make([]Row, 2000)
-	for i := range rows {
-		rows[i] = Row{Int(int64(i)), Int(int64(i % 97))}
-	}
-	if _, err := ds.Commit(rows, nil, "root"); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r, err := store.Run("SELECT count(*), sum(v) FROM VERSION 1 OF CVD q WHERE v > 50")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(r.Rows) != 1 {
-			b.Fatal("bad result")
-		}
-	}
-}
-
-// BenchmarkMigration measures intelligent vs naive physical migration
-// (Figures 14b/15b).
-func BenchmarkMigration(b *testing.B) {
-	d := benchDataset(b, "SCI_1M")
-	bip := d.Bipartite()
-	g := d.Graph()
-	ls := &partition.LyreSplit{Tree: g.ToTree()}
-	// Adjacent layouts: the amortized small-µ case intelligent migration
-	// targets (frequent migrations between similar partitionings).
-	oldP := partition.FromVersionGroups(bip, ls.Run(0.50).Groups)
-	newP := partition.FromVersionGroups(bip, ls.Run(0.55).Groups)
-	b.Run("intelligent", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			ps, err := experiments.BuildPhysStore(d, oldP)
-			if err != nil {
-				b.Fatal(err)
-			}
-			plan := partition.PlanMigration(bip, oldP, newP)
-			b.StartTimer()
-			if _, err := ps.ApplyMigration(newP, plan); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("naive", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			ps, err := experiments.BuildPhysStore(d, oldP)
-			if err != nil {
-				b.Fatal(err)
-			}
-			plan := partition.PlanNaiveMigration(newP)
-			b.StartTimer()
-			if _, err := ps.ApplyMigration(newP, plan); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkLyreSplitScaling shows the near-linear scaling of LYRESPLIT in
-// the number of versions (the basis of its 10^3x speedup claim).
-func BenchmarkLyreSplitScaling(b *testing.B) {
-	for _, n := range []int{250, 1000, 4000} {
-		d := benchgen.Generate(benchgen.Config{
-			Workload:      benchgen.SCI,
-			TargetRecords: int64(n) * 20,
-			Branches:      n / 10,
-			OpsPerCommit:  20,
-			Seed:          42,
-		})
-		bip := d.Bipartite()
-		tree := d.Graph().ToTree()
-		gamma := 2 * bip.NumRecords()
-		b.Run(fmt.Sprintf("versions-%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ls := &partition.LyreSplit{Tree: tree}
-				if _, err := ls.Solve(gamma); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
 
 // BenchmarkRangeEncoding is the compression ablation the paper's Section 3.2
 // footnote suggests: range-encoding the rlist arrays versus storing them
@@ -423,8 +68,6 @@ func BenchmarkRangeEncoding(b *testing.B) {
 // intersection, at 10k and 100k records. The slice arm reproduces the seed's
 // []int64 implementation (sorted-merge intersects, map-based diffs); the
 // bitmap arm is the internal/bitmap algebra the engine now stores.
-// TestEmitBitmapBenchJSON records the same cases into BENCH_bitmap.json so
-// the perf trajectory is tracked across PRs.
 
 // membershipFixture builds 8 overlapping version rlists over ~n records:
 // a dense shared core (90% of n) plus a sparse per-version tail — the shape
@@ -587,68 +230,5 @@ func BenchmarkRlistVsBitmap(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-// TestEmitBitmapBenchJSON measures the BenchmarkRlistVsBitmap cells with
-// testing.Benchmark and writes BENCH_bitmap.json at the repo root, recording
-// the perf trajectory of the membership substrate. Heavier than a unit test,
-// so it only runs when ORPHEUS_EMIT_BENCH=1 is set (the checked-in JSON is
-// refreshed by running it).
-func TestEmitBitmapBenchJSON(t *testing.T) {
-	if os.Getenv("ORPHEUS_EMIT_BENCH") != "1" {
-		t.Skip("set ORPHEUS_EMIT_BENCH=1 to refresh BENCH_bitmap.json")
-	}
-	type cell struct {
-		Op          string  `json:"op"`
-		Records     int     `json:"records"`
-		SliceNsOp   int64   `json:"slice_ns_op"`
-		BitmapNsOp  int64   `json:"bitmap_ns_op"`
-		Speedup     float64 `json:"speedup"`
-		SliceBytes  int64   `json:"slice_membership_bytes"`
-		BitmapBytes int64   `json:"bitmap_membership_bytes"`
-		Compression float64 `json:"compression_ratio"`
-	}
-	var cells []cell
-	for _, scale := range []int{10_000, 100_000} {
-		slices, bitmaps, tab := membershipFixture(scale)
-		var sliceBytes, bmBytes int64
-		for i := range slices {
-			sliceBytes += int64(len(slices[i])) * 8
-			bmBytes += bitmaps[i].SerializedSizeBytes()
-		}
-		for _, c := range membershipCases(tab) {
-			c := c
-			rs := testing.Benchmark(func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					c.run(slices, nil)
-				}
-			})
-			rb := testing.Benchmark(func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					c.run(nil, bitmaps)
-				}
-			})
-			cells = append(cells, cell{
-				Op:          c.name,
-				Records:     scale,
-				SliceNsOp:   rs.NsPerOp(),
-				BitmapNsOp:  rb.NsPerOp(),
-				Speedup:     float64(rs.NsPerOp()) / float64(rb.NsPerOp()),
-				SliceBytes:  sliceBytes,
-				BitmapBytes: bmBytes,
-				Compression: float64(sliceBytes) / float64(bmBytes),
-			})
-		}
-	}
-	data, err := json.MarshalIndent(map[string]any{
-		"benchmark": "RlistVsBitmap",
-		"cells":     cells,
-	}, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_bitmap.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
 	}
 }

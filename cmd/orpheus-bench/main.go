@@ -8,14 +8,6 @@
 //
 // Artifacts: table1 table2 fig3 fig9 fig10 fig11 fig12 fig13 fig14 fig15
 // fig19 fig20 fig21 fig22 fig23 all
-//
-// Three load-generator modes exist beyond the paper's artifacts: `http`
-// drives a running orpheus serve instance, `durability` measures
-// acknowledged-commit latency under each WAL fsync policy against the legacy
-// full-snapshot rewrite, `cachebench` measures the read-heavy checkout
-// path with the version-aware cache disabled versus enabled, and `partbench`
-// sweeps the partitioner's δ tolerance on a ≥1M-record store, tracing the
-// checkout-latency-vs-storage-amplification curve through live migrations.
 package main
 
 import (
@@ -38,64 +30,22 @@ var (
 
 func main() {
 	flag.Parse()
-	if flag.NArg() == 0 {
+	os.Exit(run(flag.Args()))
+}
+
+// run reproduces each named artifact in turn and returns the exit status.
+func run(artifacts []string) int {
+	if len(artifacts) == 0 {
 		fmt.Fprintln(os.Stderr, "usage: orpheus-bench [flags] <table1|table2|fig3|fig9|fig10|fig11|fig12|fig13|fig14|fig15|fig19|fig20|fig21|fig22|fig23|all>")
-		fmt.Fprintln(os.Stderr, "       orpheus-bench http [-clients 32] [-duration 5s] [-url http://host:port] [-mix commit=20,checkout=40,diff=10,query=30]")
-		fmt.Fprintln(os.Stderr, "       orpheus-bench durability [-commits 200] [-rows 100] [-modes snapshot-sync,always,interval,off] [-json BENCH_wal.json]")
-		fmt.Fprintln(os.Stderr, "       orpheus-bench cachebench [-rows 2000] [-nversions 20] [-iters 300] [-json BENCH_cache.json]")
-		fmt.Fprintln(os.Stderr, "       orpheus-bench partbench [-versions 200] [-rows 5000] [-window 35000] [-deltas 2,1,0.5,0.1] [-json BENCH_partition.json]")
-		fmt.Fprintln(os.Stderr, "       orpheus-bench replbench [-counts 1,2,4] [-clients 32] [-duration 2s] [-json BENCH_repl.json]")
-		fmt.Fprintln(os.Stderr, "       orpheus-bench diskbench [-rows 2000] [-nversions 12] [-iters 60] [-page-budget 131072] [-cache-budget 262144] [-json BENCH_disk.json]")
-		os.Exit(2)
+		return 2
 	}
-	if flag.Arg(0) == "http" {
-		if err := httpBench(flag.Args()[1:]); err != nil {
-			fmt.Fprintln(os.Stderr, "orpheus-bench: http:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if flag.Arg(0) == "durability" {
-		if err := durabilityBench(flag.Args()[1:]); err != nil {
-			fmt.Fprintln(os.Stderr, "orpheus-bench: durability:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if flag.Arg(0) == "cachebench" {
-		if err := cacheBench(flag.Args()[1:]); err != nil {
-			fmt.Fprintln(os.Stderr, "orpheus-bench: cachebench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if flag.Arg(0) == "partbench" {
-		if err := partBench(flag.Args()[1:]); err != nil {
-			fmt.Fprintln(os.Stderr, "orpheus-bench: partbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if flag.Arg(0) == "replbench" {
-		if err := replBench(flag.Args()[1:]); err != nil {
-			fmt.Fprintln(os.Stderr, "orpheus-bench: replbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if flag.Arg(0) == "diskbench" {
-		if err := diskBench(flag.Args()[1:]); err != nil {
-			fmt.Fprintln(os.Stderr, "orpheus-bench: diskbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	for _, art := range flag.Args() {
+	for _, art := range artifacts {
 		if err := runArtifact(art); err != nil {
 			fmt.Fprintf(os.Stderr, "orpheus-bench: %s: %v\n", art, err)
-			os.Exit(1)
+			return 1
 		}
 	}
+	return 0
 }
 
 func sweepCfg() experiments.SweepConfig {

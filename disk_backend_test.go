@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -365,4 +366,70 @@ func TestDiskBackendLegacyGobPagesUpgradeByUse(t *testing.T) {
 		t.Fatal(err)
 	}
 	check(d, versions)
+}
+
+// TestOpenStoreTreatsHeaderlessFileAsNew: a file shorter than the 8-byte
+// diskv header is what a crash between creating the store file and its first
+// synced header leaves. Every engine choice must open it as a store that does
+// not exist yet — and the store must then work and survive a reopen —
+// whether the torn bytes are a prefix of the diskv header (from 4 bytes on
+// that prefix carries the magic) or anything else.
+func TestOpenStoreTreatsHeaderlessFileAsNew(t *testing.T) {
+	const diskvHeader = "ODKV\x01\x00\x00\x00"
+	for name, content := range map[string]string{"header-prefix": diskvHeader, "zeros": "\x00\x00\x00\x00\x00\x00\x00\x00"} {
+		for size := 0; size < len(diskvHeader); size++ {
+			for _, backend := range []BackendKind{BackendAuto, BackendMemory, BackendDisk} {
+				t.Run(fmt.Sprintf("%s-%dB/backend=%s", name, size, backend), func(t *testing.T) {
+					path := filepath.Join(t.TempDir(), "store.odb")
+					if err := os.WriteFile(path, []byte(content[:size]), 0o644); err != nil {
+						t.Fatal(err)
+					}
+					s, err := OpenStoreWithOptions(path, StoreOptions{Backend: backend})
+					if err != nil {
+						t.Fatalf("open a %d-byte file: %v", size, err)
+					}
+					want := backend
+					if want == BackendAuto {
+						want = BackendMemory // what a new store gets
+					}
+					if s.BackendKind() != want {
+						t.Fatalf("opened as %q, want %q", s.BackendKind(), want)
+					}
+					d, err := s.Init("prot", protCols(), InitOptions{PrimaryKey: []string{"id"}})
+					if err != nil {
+						t.Fatal(err)
+					}
+					v := mustCommit(t, d, nil, "c", 1, 2, 3)
+					rows := sortedCheckout(t, d, v)
+					if err := s.Close(); err != nil {
+						t.Fatal(err)
+					}
+					r, err := OpenStoreWithOptions(path, StoreOptions{Backend: backend})
+					if err != nil {
+						t.Fatalf("reopen: %v", err)
+					}
+					defer r.Close()
+					rd, err := r.Dataset("prot")
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := sortedCheckout(t, rd, v); fmt.Sprint(got) != fmt.Sprint(rows) {
+						t.Fatalf("after reopen %v, want %v", got, rows)
+					}
+				})
+			}
+		}
+	}
+	// From the header length on, the bytes decide: not a store of either
+	// format is an error, not a fresh start over somebody's file.
+	path := filepath.Join(t.TempDir(), "junk.odb")
+	if err := os.WriteFile(path, []byte("not a store"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, backend := range []BackendKind{BackendAuto, BackendMemory, BackendDisk} {
+		if s, err := OpenStoreWithOptions(path, StoreOptions{Backend: backend}); err == nil {
+			s.Close()
+			t.Fatalf("backend %q opened an 11-byte junk file", backend)
+		}
+	}
 }

@@ -3,6 +3,8 @@ package orpheusdb
 import (
 	"fmt"
 	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -208,6 +210,60 @@ func TestArchitectureDocMatchesTree(t *testing.T) {
 	for _, inv := range []string{"WAL-before-ack", "Cache-invalidate-in-critical-section", "canonical form"} {
 		if !strings.Contains(doc, inv) {
 			t.Errorf("ARCHITECTURE.md lost its %q invariant section", inv)
+		}
+	}
+}
+
+// TestDocsBenchReferencesResolve keeps README.md and docs/*.md from sending a
+// reader to a benchmark that is not there: a BENCH*.json path must name an
+// existing file (relative to the document or to the repository root), and
+// whatever follows `orpheus-bench` on a line must be its flags and artifacts
+// cmd/orpheus-bench accepts. Load generation and recorded numbers live in
+// bench/ (`bash bench/run.sh`, bench/baseline.json).
+func TestDocsBenchReferencesResolve(t *testing.T) {
+	src, err := os.ReadFile("cmd/orpheus-bench/main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	artifacts := make(map[string]bool)
+	for _, m := range regexp.MustCompile(`case ("[a-z0-9]+"(?:, "[a-z0-9]+")*):`).FindAllStringSubmatch(string(src), -1) {
+		for _, name := range strings.Split(m[1], ", ") {
+			artifacts[strings.Trim(name, `"`)] = true
+		}
+	}
+	if !artifacts["table1"] || !artifacts["fig23"] || !artifacts["all"] {
+		t.Fatalf("artifact names not found in cmd/orpheus-bench/main.go (got %v) — extraction broken?", artifacts)
+	}
+	docs, err := filepath.Glob("docs/*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	benchFile := regexp.MustCompile(`[\w./-]*BENCH\w*\.json`)
+	command := regexp.MustCompile(`orpheus-bench((?: +[-\w.=]+)+)`)
+	for _, doc := range append(docs, "README.md") {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ref := range benchFile.FindAllString(string(data), -1) {
+			_, errDoc := os.Stat(filepath.Join(filepath.Dir(doc), ref))
+			_, errRoot := os.Stat(ref)
+			if errDoc != nil && errRoot != nil {
+				t.Errorf("%s names %s, which does not exist", doc, ref)
+			}
+		}
+		for _, m := range command.FindAllStringSubmatch(string(data), -1) {
+			words := strings.Fields(m[1])
+			for i := 0; i < len(words); i++ {
+				switch w := words[i]; {
+				case strings.HasPrefix(w, "-"):
+					if !strings.Contains(w, "=") {
+						i++ // every flag of the command takes a value
+					}
+				case !artifacts[w]:
+					t.Errorf("%s: `orpheus-bench%s`: %q is not an artifact the command accepts", doc, m[1], w)
+				}
+			}
 		}
 	}
 }

@@ -565,14 +565,6 @@ func (c *CVD) PlanMaintenance(gammaFactor, mu float64, batchRows int64) (*Repart
 	return c.solve(gammaFactor, mu, batchRows, lyreSplit)
 }
 
-// PlanRepartitionDelta plans the batched migration for a fixed tolerance δ
-// (the partbench sweep entry; no storage budget search).
-func (c *CVD) PlanRepartitionDelta(delta float64, batchRows int64) (*RepartitionPlan, error) {
-	return c.solve(0, 0, batchRows, func(t *vgraph.Tree, _ int64) (*partition.SolveResult, error) {
-		return &partition.SolveResult{LyreSplitResult: (&partition.LyreSplit{Tree: t}).Run(delta)}, nil
-	})
-}
-
 // ApplyPartitionBatch executes one planned batch against the live layout.
 func (c *CVD) ApplyPartitionBatch(b PartitionBatch) (int64, error) {
 	pm, ok := c.model.(PartitionedModel)

@@ -196,14 +196,3 @@ func (db *DB) TableNames() []string {
 	sort.Strings(names)
 	return names
 }
-
-// TotalSizeBytes sums the storage of all tables.
-func (db *DB) TotalSizeBytes() int64 {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	var n int64
-	for _, t := range db.tables {
-		n += t.SizeBytes()
-	}
-	return n
-}

@@ -138,17 +138,3 @@ func TestLoadMissingFile(t *testing.T) {
 		t.Fatal("loading a missing file should fail")
 	}
 }
-
-func TestTotalSizeBytes(t *testing.T) {
-	db := NewDB()
-	if db.TotalSizeBytes() != 0 {
-		t.Fatal("empty db should have zero size")
-	}
-	tab, _ := db.CreateTable("x", []Column{{Name: "a", Type: KindInt}})
-	for i := 0; i < 10; i++ {
-		tab.Insert(Row{IntValue(int64(i))})
-	}
-	if db.TotalSizeBytes() <= 0 {
-		t.Fatal("size should be positive")
-	}
-}

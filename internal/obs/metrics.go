@@ -224,11 +224,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.bounds[len(h.bounds)-1]
 }
 
-// QuantileDuration is Quantile for second-unit histograms, as a Duration.
-func (h *Histogram) QuantileDuration(q float64) time.Duration {
-	return time.Duration(h.Quantile(q) * float64(time.Second))
-}
-
 // atomicFloat is a float64 updated with CAS on its bit pattern.
 type atomicFloat struct {
 	bits atomic.Uint64

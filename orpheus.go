@@ -247,6 +247,10 @@ type StoreOptions struct {
 // is configured.
 const DefaultPageBudget int64 = 256 << 20
 
+// minStoreFileLen is the disk engine's file header length (diskv: magic,
+// version, reserved); a gob snapshot is longer still.
+const minStoreFileLen = 8
+
 // OpenStore opens (or creates) a store persisted at path, sniffing the
 // existing file's format to pick the storage engine (gob snapshot → memory,
 // page KV → disk). New stores get the memory engine; use
@@ -265,12 +269,16 @@ func OpenStoreWithOptions(path string, opts StoreOptions) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
+	// A file shorter than either format's header holds no store: it is what a
+	// crash between creating the file and its first synced header leaves, and
+	// the disk engine's own recovery starts such a file afresh.
 	exists := false
-	if _, serr := os.Stat(path); serr == nil {
-		exists = true
+	if fi, serr := os.Stat(path); serr == nil {
+		exists = fi.Size() >= minStoreFileLen
 	} else if !os.IsNotExist(serr) {
 		return nil, serr
 	}
+	isDisk = isDisk && exists
 	kind := opts.Backend
 	if kind == BackendAuto {
 		if isDisk {
@@ -282,7 +290,7 @@ func OpenStoreWithOptions(path string, opts StoreOptions) (*Store, error) {
 	switch kind {
 	case BackendDisk:
 		if exists && !isDisk {
-			return nil, fmt.Errorf("orpheus: %s holds a gob snapshot, not a disk-backend store; open with -backend=memory (or move it aside)", path)
+			return nil, fmt.Errorf("orpheusdb: %s holds a gob snapshot, not a disk-backend store; open with -backend=memory (or move it aside)", path)
 		}
 		db, err := engine.OpenDisk(path, engine.DiskOptions{PageBudgetBytes: opts.PageBudgetBytes})
 		if err != nil {
@@ -291,7 +299,7 @@ func OpenStoreWithOptions(path string, opts StoreOptions) (*Store, error) {
 		return newStore(db, path), nil
 	case BackendMemory:
 		if isDisk {
-			return nil, fmt.Errorf("orpheus: %s holds a disk-backend store; open with -backend=disk", path)
+			return nil, fmt.Errorf("orpheusdb: %s holds a disk-backend store; open with -backend=disk", path)
 		}
 		if !exists {
 			return newStore(engine.NewDB(), path), nil
@@ -302,7 +310,7 @@ func OpenStoreWithOptions(path string, opts StoreOptions) (*Store, error) {
 		}
 		return newStore(db, path), nil
 	default:
-		return nil, fmt.Errorf("orpheus: unknown backend %q (want memory or disk)", kind)
+		return nil, fmt.Errorf("orpheusdb: unknown backend %q (want memory or disk)", kind)
 	}
 }
 
