@@ -55,7 +55,7 @@ func (d *Dataset) CreateBranch(name string, at VersionID) (*BranchInfo, error) {
 	}
 	d.store.ioMu.RLock()
 	defer d.store.ioMu.RUnlock()
-	d.mu.Lock()
+	d.lock()
 	defer d.mu.Unlock()
 	if err := d.aliveLocked(); err != nil {
 		return nil, err
@@ -87,14 +87,14 @@ func (d *Dataset) CreateBranch(name string, at VersionID) (*BranchInfo, error) {
 // values (including their lineage bitmaps) are shared and must be treated as
 // immutable.
 func (d *Dataset) Branches() []*BranchInfo {
-	d.mu.RLock()
+	d.rlock()
 	defer d.mu.RUnlock()
 	return d.cvd.Branches()
 }
 
 // Branch returns one branch by name.
 func (d *Dataset) Branch(name string) (*BranchInfo, error) {
-	d.mu.RLock()
+	d.rlock()
 	defer d.mu.RUnlock()
 	if err := d.aliveLocked(); err != nil {
 		return nil, err
@@ -109,7 +109,7 @@ func (d *Dataset) DeleteBranch(name string) error {
 	}
 	d.store.ioMu.RLock()
 	defer d.store.ioMu.RUnlock()
-	d.mu.Lock()
+	d.lock()
 	defer d.mu.Unlock()
 	if err := d.aliveLocked(); err != nil {
 		return err
@@ -131,7 +131,7 @@ func (d *Dataset) DeleteBranch(name string) error {
 // ResolveRef resolves a version reference — a decimal version id or a branch
 // name (yielding the branch head).
 func (d *Dataset) ResolveRef(ref string) (VersionID, error) {
-	d.mu.RLock()
+	d.rlock()
 	defer d.mu.RUnlock()
 	if err := d.aliveLocked(); err != nil {
 		return 0, err
@@ -142,7 +142,7 @@ func (d *Dataset) ResolveRef(ref string) (VersionID, error) {
 // MergeBase returns the lowest common ancestor of two version references
 // (ok=false when they share no ancestry).
 func (d *Dataset) MergeBase(oursRef, theirsRef string) (VersionID, bool, error) {
-	d.mu.RLock()
+	d.rlock()
 	defer d.mu.RUnlock()
 	if err := d.aliveLocked(); err != nil {
 		return 0, false, err
@@ -187,7 +187,7 @@ func (d *Dataset) MergeCtx(ctx context.Context, oursRef, theirsRef string, polic
 	}
 	d.store.ioMu.RLock()
 	defer d.store.ioMu.RUnlock()
-	d.mu.Lock()
+	d.lock()
 	defer d.mu.Unlock()
 	if err := d.aliveLocked(); err != nil {
 		return nil, err
@@ -234,16 +234,10 @@ func (d *Dataset) MergeCtx(ctx context.Context, oursRef, theirsRef string, polic
 		d.store.ScheduleSave()
 		return res, nil
 	}
-	// A merge commit extends the version graph: readers must not see
-	// pre-merge cached materializations of the all-versions view, and the
-	// dataset's generation token must advance. Invalidate before the WAL
+	// A merge commit adds a version like any commit: the all-versions view
+	// must include it, every older version's entries and the dataset's
+	// generation stay. Invalidate before the branch advance and the WAL
 	// append, exactly like Commit.
-	d.store.cache.InvalidateDataset(d.cvd.Name())
-	if oursBranch != "" {
-		if _, err := d.cvd.AdvanceBranch(oursBranch, res.Version); err != nil {
-			return res, err
-		}
-	}
 	rec := &wal.Record{
 		Type:    wal.TypeMerge,
 		Dataset: d.cvd.Name(),
@@ -259,6 +253,12 @@ func (d *Dataset) MergeCtx(ctx context.Context, oursRef, theirsRef string, polic
 	}
 	if set, serr := d.cvd.RlistSet(res.Version); serr == nil {
 		rec.Members = set
+	}
+	d.store.invalidateCache(rec)
+	if oursBranch != "" {
+		if _, err := d.cvd.AdvanceBranch(oursBranch, res.Version); err != nil {
+			return res, err
+		}
 	}
 	if err := d.store.logMutationCtx(ctx, rec); err != nil {
 		return res, err

@@ -12,7 +12,7 @@ import (
 
 // The cache invalidation tests prove the tentpole invariant of the checkout
 // cache: a reader can never observe a stale materialization, because every
-// mutator invalidates the dataset's entries inside its critical section
+// mutator drops the entries it can change inside its critical section
 // (while holding the dataset write lock), and readers populate entries only
 // while holding the read lock. Run under -race.
 
@@ -199,9 +199,10 @@ func TestCachedCheckoutNeverStale(t *testing.T) {
 	}
 }
 
-// TestCacheInvalidationAcrossDatasets checks commits on one dataset leave the
-// other dataset's cached materializations resident (no false invalidation)
-// while its own are dropped.
+// TestCacheInvalidationAcrossDatasets checks a commit on one dataset leaves
+// the other dataset's cached materializations resident (no false
+// invalidation) and, on its own dataset, drops the all-versions view but
+// keeps the entries of the versions it did not change.
 func TestCacheInvalidationAcrossDatasets(t *testing.T) {
 	store := NewStore()
 	cols := []Column{{Name: "id", Type: KindInt}, {Name: "val", Type: KindString}}
@@ -218,16 +219,42 @@ func TestCacheInvalidationAcrossDatasets(t *testing.T) {
 	if _, err := a.Checkout(1); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := store.Run("SELECT count(*) FROM CVD dsa"); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := b.Checkout(1); err != nil {
 		t.Fatal(err)
+	}
+	if n := store.DatasetCacheStats("dsa").Entries; n != 2 {
+		t.Fatalf("dsa entries = %d, want 2 (v1 and the all-versions view)", n)
 	}
 	if n := store.DatasetCacheStats("dsb").Entries; n != 1 {
 		t.Fatalf("dsb entries = %d, want 1", n)
 	}
 	genB := b.CacheGeneration()
 	commitMarkerVersion(t, a, 5)
-	if n := store.DatasetCacheStats("dsa").Entries; n != 0 {
-		t.Fatalf("dsa entries after commit = %d, want 0", n)
+	if n := store.DatasetCacheStats("dsa").Entries; n != 1 {
+		t.Fatalf("dsa entries after commit = %d, want 1 (v1 only)", n)
+	}
+	// The survivor is v1's entry: checking it out again is a hit.
+	hits := store.CacheStats().Hits
+	rows, err := a.Checkout(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := verifyMarker(rows, 3); err != nil {
+		t.Fatal(err)
+	}
+	if store.CacheStats().Hits != hits+1 {
+		t.Fatal("dsa v1 was not served from cache after a commit on dsa")
+	}
+	// The all-versions view was dropped and now includes the new version.
+	res, err := store.Run("SELECT count(*) FROM CVD dsa")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Rows[0][0].I; got != 3+5 {
+		t.Fatalf("all-versions rows after commit = %d, want %d", got, 3+5)
 	}
 	if n := store.DatasetCacheStats("dsb").Entries; n != 1 {
 		t.Fatalf("dsb entries after commit on dsa = %d, want 1", n)

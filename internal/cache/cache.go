@@ -5,21 +5,21 @@
 //
 // OrpheusDB's hot path is checkout: every `Checkout` and every
 // `VERSION ... OF CVD` scan resolves membership bitmaps and fetches records
-// from the backing tables. Version record sets are immutable once committed —
-// the only events that change what a (dataset, versions) request returns are
-// commits into the dataset, schema changes, partition migrations, and drops.
-// The cache exploits that: read paths consult it before bitmap resolution,
-// and every mutator invalidates the dataset's entries inside its critical
-// section (while the dataset's write lock is held), so readers can never
-// observe a stale entry.
+// from the backing tables. Version record sets are immutable once committed,
+// and entries are keyed — and tagged — by the version sets they read. A
+// commit or merge adds a version without changing any older one, so it drops
+// only the untagged entries (the all-versions view) via InvalidateVersions; a
+// partition migration drops the entries of the versions it moved. Neither
+// moves the dataset's generation. Only a schema change, a drop or re-init
+// (InvalidateDataset), or a whole-cache Flush drops every entry and advances
+// the generation, which is why (dataset, versions, generation) is an ETag.
 //
 // Correct use requires a locking discipline from the caller, documented in
 // docs/ARCHITECTURE.md: GetOrCompute must run entirely under the dataset's
-// read lock (so compute-then-insert cannot interleave with a commit's
-// apply-then-invalidate, which runs under the write lock), and
-// InvalidateDataset must be called by every mutator before it releases the
-// write lock. The cache itself is safe for concurrent use by any number of
-// goroutines.
+// read lock (so compute-then-insert cannot interleave with a mutation's
+// apply-then-invalidate, which runs under the write lock), and every mutator
+// must invalidate what it changed before it releases the write lock. The
+// cache itself is safe for concurrent use by any number of goroutines.
 //
 // Keys are canonical: requests that provably denote the same record set map
 // to the same entry. The version set is serialized as a compressed bitmap
@@ -348,9 +348,11 @@ func (c *Cache) removeLocked(el *list.Element) {
 }
 
 // InvalidateDataset removes every entry belonging to dataset and bumps its
-// generation. Mutators call it inside their critical section (dataset write
-// lock held, next to the WAL append), so no reader can be mid-materialization
-// and no stale entry can be re-inserted afterwards.
+// generation. Mutators that can change how existing versions materialize
+// (schema changes) or what the dataset name refers to (init, drop) call it
+// inside their critical section (dataset write lock held, next to the WAL
+// append), so no reader can be mid-materialization and no stale entry can be
+// re-inserted afterwards.
 func (c *Cache) InvalidateDataset(dataset string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -365,9 +367,11 @@ func (c *Cache) InvalidateDataset(dataset string) {
 // InvalidateVersions removes dataset entries whose version tag intersects
 // vids; untagged entries are removed too (they may touch any version).
 // Unlike InvalidateDataset it does NOT bump the dataset's generation: its
-// caller is the partition migrator, whose batches preserve every version's
-// materialized contents — ETag validators minted before the migration remain
-// sound, only the row materializations must be refetched from the new layout.
+// callers — a commit or merge (vids = the new version) and a partition
+// migration batch (vids = the versions it moved) — leave every existing
+// version's materialized contents as they were, so ETag validators minted
+// before them remain sound; only entries that read the named versions, or
+// every version, must be recomputed.
 func (c *Cache) InvalidateVersions(dataset string, vids *bitmap.Bitmap) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -394,9 +398,10 @@ func (c *Cache) Flush() {
 }
 
 // Generation returns dataset's invalidation generation: it moves exactly when
-// a mutation may have changed what the dataset's versions materialize to
-// (dataset-targeted invalidation or a whole-cache flush), which makes
-// (dataset, versions, generation) a sound ETag.
+// a mutation may have changed what the dataset's existing versions
+// materialize to (InvalidateDataset or a whole-cache Flush, never
+// InvalidateVersions), which makes (dataset, versions, generation) a sound
+// ETag.
 func (c *Cache) Generation(dataset string) uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()

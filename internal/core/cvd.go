@@ -38,9 +38,7 @@ type CVD struct {
 	// cache, when set (SetCache), is consulted by Checkout,
 	// MultiVersionCheckout, and AllVersionsCheckout before any bitmap
 	// resolution or record fetch. The CVD only reads it: whoever attaches
-	// the cache owns invalidation and must call InvalidateDataset inside
-	// every mutator's critical section (the Store does, next to its WAL
-	// append).
+	// the cache owns invalidation (see SetCache).
 	cache *cache.Cache
 
 	// metrics, when set (SetMetrics), receives checkout and commit latency
@@ -504,8 +502,11 @@ func (c *CVD) commitAt(ctx context.Context, rows []engine.Row, parents []vgraph.
 
 // SetCache attaches the checkout cache consulted by Checkout,
 // MultiVersionCheckout, and AllVersionsCheckout. Call it before the CVD is
-// shared; the caller is responsible for invalidating the dataset's entries
-// (cache.InvalidateDataset) inside every mutation's critical section.
+// shared. Entries are keyed by immutable version sets, so the caller owns
+// invalidation and does it inside each mutation's critical section: a
+// commit or merge drops only the untagged all-versions entry, a migration
+// only the entries of the versions it moved, and only a schema change, a
+// drop or re-init, or a flush drops everything and moves the generation.
 func (c *CVD) SetCache(cc *cache.Cache) { c.cache = cc }
 
 // cacheVids converts version ids to the cache key's int64 form.

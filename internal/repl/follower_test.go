@@ -206,6 +206,60 @@ func TestFollowerConvergence(t *testing.T) {
 	}
 }
 
+// TestFollowerKeepsVersionCacheEntries: a follower applies the primary's
+// cache rule to every replicated record. A commit drops only the
+// all-versions view, and branch create/advance records drop nothing, so a
+// cached v1 checkout stays resident and its validator stays valid.
+func TestFollowerKeepsVersionCacheEntries(t *testing.T) {
+	primary, srv := newPrimary(t)
+	d, err := primary.Init("prot", testColumns(), orpheusdb.InitOptions{PrimaryKey: []string{"id"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := commitN(t, d, 1, "pre")[0]
+
+	f := startFollower(t, srv.URL)
+	waitCaughtUp(t, f, primary)
+	fd, err := f.Store().Dataset("prot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, want, gen, err := fd.CheckoutWithToken(v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	v2 := commitN(t, d, 1, "post")[0]
+	if _, err := d.CreateBranch("dev", v1); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := d.Merge("dev", fmt.Sprint(v2), orpheusdb.MergeFail, "advance dev"); err != nil || !res.FastForward {
+		t.Fatalf("fast-forward dev: %+v, %v", res, err)
+	}
+	waitCaughtUp(t, f, primary)
+	if _, err := fd.Branch("dev"); err != nil {
+		t.Fatalf("branch did not replicate: %v", err)
+	}
+
+	if n := f.Store().DatasetCacheStats("prot").Entries; n != 1 {
+		t.Fatalf("follower entries after commit and branch records = %d, want v1's entry resident", n)
+	}
+	hits := f.Store().CacheStats().Hits
+	_, got, gen2, err := fd.CheckoutWithToken(v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Store().CacheStats().Hits != hits+1 {
+		t.Fatal("follower's v1 checkout was not served from cache")
+	}
+	if gen2 != gen {
+		t.Fatalf("follower's v1 generation moved %d -> %d across a commit and branch records", gen, gen2)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("follower's v1 rows changed: %v -> %v", want, got)
+	}
+}
+
 // TestFollowerReadOnly: local writes — Go API and HTTP — are rejected, HTTP
 // with a 403/read_only body; reads keep working.
 func TestFollowerReadOnly(t *testing.T) {

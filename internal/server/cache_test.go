@@ -57,17 +57,48 @@ func TestCheckoutVersionTokenAnd304(t *testing.T) {
 		t.Fatalf("304 token %q != %q", token2, token)
 	}
 
-	// A commit invalidates the validator: full response, new token.
+	// A commit adds a version and changes none: v1's validator stays valid.
 	commitRows(t, ts.URL, [][]any{{1, 1, 0.5, "a"}, {3, 3, 0.1, "c"}}, []int64{1}, "v2")
-	status, token3, body := checkoutRaw(t, url, token)
+	if status, token3, _ := checkoutRaw(t, url, token); status != http.StatusNotModified || token3 != token {
+		t.Fatalf("post-commit conditional checkout: status %d token %q, want 304 with %q", status, token3, token)
+	}
+
+	// A schema commit that adds a column changes how v1 materializes (the
+	// new column reads as NULL): full response, new token, new column.
+	status, cbody := doJSON(t, "POST", ts.URL+"/api/v1/datasets/prot/commit", map[string]any{
+		"columns": []map[string]string{
+			{"name": "p1", "type": "integer"},
+			{"name": "p2", "type": "integer"},
+			{"name": "score", "type": "decimal"},
+			{"name": "tag", "type": "string"},
+			{"name": "note", "type": "string"},
+		},
+		"rows":    [][]any{{1, 1, 0.5, "a", "n"}},
+		"parents": []int64{2},
+		"message": "v3 adds a column",
+	})
+	if status != http.StatusCreated {
+		t.Fatalf("schema commit: status %d, body %v", status, cbody)
+	}
+	status, token4, body := checkoutRaw(t, url, token)
 	if status != http.StatusOK {
-		t.Fatalf("post-commit conditional checkout: status %d, want 200", status)
+		t.Fatalf("post-schema-commit conditional checkout: status %d, want 200", status)
 	}
-	if token3 == token {
-		t.Fatal("token did not change after commit")
+	if token4 == token {
+		t.Fatal("token did not change after a schema commit")
 	}
-	if rows := body["rows"].([]any); len(rows) != 2 {
+	cols := body["columns"].([]any)
+	if last := cols[len(cols)-1].(map[string]any); len(cols) != 5 || last["name"] != "note" {
+		t.Fatalf("columns = %v, want the added column note last", cols)
+	}
+	rows := body["rows"].([]any)
+	if len(rows) != 2 {
 		t.Fatalf("rows = %d, want 2", len(rows))
+	}
+	for _, r := range rows {
+		if cells := r.([]any); len(cells) != 5 || cells[4] != nil {
+			t.Fatalf("v1 row %v, want a NULL in the added column", cells)
+		}
 	}
 }
 

@@ -288,6 +288,8 @@ func TestMetricsExposition(t *testing.T) {
 		{"orpheus_checkout_seconds_count", map[string]string{"result": "hit"}},
 		{"orpheus_commit_seconds_count", nil},
 		{"orpheus_merge_seconds_count", nil},
+		{"orpheus_dataset_lock_wait_seconds_count", map[string]string{"mode": "read"}},
+		{"orpheus_dataset_lock_wait_seconds_count", map[string]string{"mode": "write"}},
 		{"orpheus_sql_parse_seconds_count", nil},
 		{"orpheus_sql_execute_seconds_count", nil},
 		{"orpheus_cache_hits_total", nil},
@@ -309,6 +311,7 @@ func TestMetricsExposition(t *testing.T) {
 		// The traffic above must actually have moved the core series.
 		switch want.name {
 		case "orpheus_checkout_seconds_count", "orpheus_commit_seconds_count",
+			"orpheus_dataset_lock_wait_seconds_count",
 			"orpheus_sql_parse_seconds_count", "orpheus_sql_execute_seconds_count",
 			"orpheus_partition_migrations_total", "orpheus_partition_batches_total",
 			"orpheus_partition_rows_moved_total", "orpheus_partition_migrate_seconds_count":

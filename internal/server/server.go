@@ -585,7 +585,8 @@ func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
 
 // versionToken builds the ETag-style validator for a checkout response:
 // stable for a (dataset, versions) pair until a mutation advances the
-// dataset's cache generation. Version ids are joined with "+", never ",",
+// dataset's cache generation — a schema change, a drop/re-init or a flush,
+// never a commit or merge, since committed versions do not change. Version ids are joined with "+", never ",",
 // so the token survives If-None-Match's comma-separated list syntax intact.
 func versionToken(dataset string, vids []orpheusdb.VersionID, gen uint64) string {
 	parts := make([]string, len(vids))

@@ -28,6 +28,8 @@ type storeObs struct {
 	// (checkout hit/miss, commit).
 	core *core.Metrics
 
+	lockWaitRead, lockWaitWrite *obs.Histogram
+
 	mergeSeconds            *obs.Histogram
 	sqlParseSeconds         *obs.Histogram
 	sqlExecSeconds          *obs.Histogram
@@ -41,6 +43,9 @@ func newStoreObs() *storeObs {
 	checkout := reg.HistogramVec("orpheus_checkout_seconds",
 		"Checkout latency by cache outcome (single- and multi-version).",
 		obs.LatencyBuckets, "result")
+	lockWait := reg.HistogramVec("orpheus_dataset_lock_wait_seconds",
+		"Time spent waiting for a dataset's lock: read = checkouts, diffs, queries and other reads; write = commits, merges, branch changes, drops and migration batches.",
+		obs.LatencyBuckets, "mode")
 	return &storeObs{
 		reg:    reg,
 		tracer: obs.NewTracer(64, 64, obs.DefaultSlowThreshold),
@@ -51,6 +56,8 @@ func newStoreObs() *storeObs {
 				"Core commit latency: record hash matching, model write, version metadata.",
 				obs.LatencyBuckets),
 		},
+		lockWaitRead:  lockWait.With("read"),
+		lockWaitWrite: lockWait.With("write"),
 		mergeSeconds: reg.Histogram("orpheus_merge_seconds",
 			"Three-way merge latency: LCA discovery, bitmap formula, merge commit.",
 			obs.LatencyBuckets),
@@ -108,7 +115,7 @@ func (s *Store) registerCollectors() {
 	counter("orpheus_cache_hits_total", "Checkout-cache hits.", func() int64 { return s.cache.Stats().Hits })
 	counter("orpheus_cache_misses_total", "Checkout-cache misses.", func() int64 { return s.cache.Stats().Misses })
 	counter("orpheus_cache_evictions_total", "Checkout-cache evictions under byte-budget pressure.", func() int64 { return s.cache.Stats().Evictions })
-	counter("orpheus_cache_invalidations_total", "Checkout-cache dataset invalidations.", func() int64 { return s.cache.Stats().Invalidations })
+	counter("orpheus_cache_invalidations_total", "Checkout-cache invalidations: commits, merges, migration batches, schema changes, drops and flushes.", func() int64 { return s.cache.Stats().Invalidations })
 	gauge("orpheus_cache_entries", "Entries resident in the checkout cache.", func() int64 { return int64(s.cache.Stats().Entries) })
 	gauge("orpheus_cache_bytes", "Bytes resident in the checkout cache.", func() int64 { return s.cache.Stats().Bytes })
 	gauge("orpheus_cache_budget_bytes", "Checkout-cache byte budget.", func() int64 { return s.cache.Stats().Budget })

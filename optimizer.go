@@ -241,7 +241,7 @@ func (o *PartitionOptimizer) sweepDataset(name string) {
 		parents []VersionID
 		set     *bitmap.Bitmap
 	}
-	d.mu.RLock()
+	d.rlock()
 	vids := d.cvd.Versions()
 	var feeds []feed
 	for _, v := range vids[st.observed:] {

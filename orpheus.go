@@ -552,7 +552,7 @@ type Dataset struct {
 
 	// mu is the per-dataset lock: Commit, Drop and each repartitioning
 	// batch hold it exclusively, Checkout/Diff/Info and friends hold it
-	// shared.
+	// shared. Take it through lock and rlock, which time the wait.
 	mu sync.RWMutex
 	// migrateMu serializes the dataset's repartitionings, held across a
 	// whole plan and taken before ioMu and mu (see repartition.go).
@@ -570,6 +570,20 @@ func (d *Dataset) aliveLocked() error {
 		return fmt.Errorf("orpheusdb: dataset %q was dropped; reopen it with Store.Dataset", d.cvd.Name())
 	}
 	return nil
+}
+
+// rlock and lock take d.mu shared or exclusive, observing how long the
+// caller waited in orpheus_dataset_lock_wait_seconds.
+func (d *Dataset) rlock() {
+	start := time.Now()
+	d.mu.RLock()
+	d.store.obs.lockWaitRead.ObserveDuration(time.Since(start))
+}
+
+func (d *Dataset) lock() {
+	start := time.Now()
+	d.mu.Lock()
+	d.store.obs.lockWaitWrite.ObserveDuration(time.Since(start))
 }
 
 // Init creates a new CVD.
@@ -591,19 +605,20 @@ func (s *Store) Init(name string, cols []Column, opts InitOptions) (*Dataset, er
 	c.SetCache(s.cache)
 	c.SetMetrics(s.obs.core)
 	c.SetHeat(core.NewHeat())
-	// A dropped dataset of the same name may have left clients holding
-	// version tokens; advancing the generation keeps them from validating
-	// against the new incarnation.
-	s.cache.InvalidateDataset(name)
-	d := &Dataset{store: s, cvd: c}
-	s.datasets[name] = d
-	if err := s.logMutation(&wal.Record{
+	rec := &wal.Record{
 		Type:       wal.TypeInit,
 		Dataset:    name,
 		Model:      string(c.Model().Kind()),
 		Cols:       cols,
 		PrimaryKey: opts.PrimaryKey,
-	}); err != nil {
+	}
+	// A dropped dataset of the same name may have left clients holding
+	// version tokens; advancing the generation keeps them from validating
+	// against the new incarnation.
+	s.invalidateCache(rec)
+	d := &Dataset{store: s, cvd: c}
+	s.datasets[name] = d
+	if err := s.logMutation(rec); err != nil {
 		return nil, err
 	}
 	s.ScheduleSave()
@@ -670,15 +685,16 @@ func (s *Store) Drop(name string) error {
 		}
 		d = &Dataset{store: s, cvd: c}
 	}
-	d.mu.Lock()
+	d.lock()
 	defer d.mu.Unlock()
 	if err := d.cvd.Drop(); err != nil {
 		return err
 	}
 	d.dropped = true
 	delete(s.datasets, name)
-	s.cache.InvalidateDataset(name)
-	if err := s.logMutation(&wal.Record{Type: wal.TypeDrop, Dataset: name}); err != nil {
+	rec := &wal.Record{Type: wal.TypeDrop, Dataset: name}
+	s.invalidateCache(rec)
+	if err := s.logMutation(rec); err != nil {
 		return err
 	}
 	s.ScheduleSave()
@@ -691,42 +707,42 @@ func (d *Dataset) Name() string { return d.cvd.Name() }
 // Columns returns a copy of the dataset's current data attributes (a copy
 // because schema-evolving commits mutate the live slice in place).
 func (d *Dataset) Columns() []Column {
-	d.mu.RLock()
+	d.rlock()
 	defer d.mu.RUnlock()
 	return append([]Column(nil), d.cvd.Columns()...)
 }
 
 // PrimaryKey returns the relation's key attribute names.
 func (d *Dataset) PrimaryKey() []string {
-	d.mu.RLock()
+	d.rlock()
 	defer d.mu.RUnlock()
 	return d.cvd.PrimaryKey()
 }
 
 // Model returns the data model kind in use.
 func (d *Dataset) Model() ModelKind {
-	d.mu.RLock()
+	d.rlock()
 	defer d.mu.RUnlock()
 	return d.cvd.Model().Kind()
 }
 
 // Versions lists version ids in commit order.
 func (d *Dataset) Versions() []VersionID {
-	d.mu.RLock()
+	d.rlock()
 	defer d.mu.RUnlock()
 	return append([]VersionID(nil), d.cvd.Versions()...)
 }
 
 // LatestVersion returns the most recent version id (0 if none).
 func (d *Dataset) LatestVersion() VersionID {
-	d.mu.RLock()
+	d.rlock()
 	defer d.mu.RUnlock()
 	return d.cvd.LatestVersion()
 }
 
 // Info returns a version's metadata.
 func (d *Dataset) Info(v VersionID) (*VersionInfo, error) {
-	d.mu.RLock()
+	d.rlock()
 	defer d.mu.RUnlock()
 	if err := d.aliveLocked(); err != nil {
 		return nil, err
@@ -748,7 +764,7 @@ func (d *Dataset) CommitCtx(ctx context.Context, rows []Row, parents []VersionID
 	}
 	d.store.ioMu.RLock()
 	defer d.store.ioMu.RUnlock()
-	d.mu.Lock()
+	d.lock()
 	defer d.mu.Unlock()
 	if err := d.aliveLocked(); err != nil {
 		return 0, err
@@ -758,9 +774,11 @@ func (d *Dataset) CommitCtx(ctx context.Context, rows []Row, parents []VersionID
 		return 0, err
 	}
 	// Invalidate before the WAL append: even if the append fails, the
-	// version exists in memory and readers must not see pre-commit entries.
-	d.store.cache.InvalidateDataset(d.cvd.Name())
-	if err := d.store.logMutationCtx(ctx, d.commitRecord(wal.TypeCommit, nil, rows, parents, msg, v)); err != nil {
+	// version exists in memory and the all-versions view must include it.
+	// Older versions' entries stay: a commit changes none of them.
+	rec := d.commitRecord(wal.TypeCommit, nil, rows, parents, msg, v)
+	d.store.invalidateCache(rec)
+	if err := d.store.logMutationCtx(ctx, rec); err != nil {
 		return v, err
 	}
 	d.store.ScheduleSave()
@@ -782,7 +800,7 @@ func (d *Dataset) CommitWithSchemaCtx(ctx context.Context, cols []Column, rows [
 	}
 	d.store.ioMu.RLock()
 	defer d.store.ioMu.RUnlock()
-	d.mu.Lock()
+	d.lock()
 	defer d.mu.Unlock()
 	if err := d.aliveLocked(); err != nil {
 		return 0, err
@@ -791,8 +809,11 @@ func (d *Dataset) CommitWithSchemaCtx(ctx context.Context, cols []Column, rows [
 	if err != nil {
 		return 0, err
 	}
-	d.store.cache.InvalidateDataset(d.cvd.Name()) // before WAL append; see Commit
-	if err := d.store.logMutationCtx(ctx, d.commitRecord(wal.TypeCommitSchema, cols, rows, parents, msg, v)); err != nil {
+	// A schema change alters how every version materializes (an added
+	// column reads as NULL), so everything goes; before WAL append, see Commit.
+	rec := d.commitRecord(wal.TypeCommitSchema, cols, rows, parents, msg, v)
+	d.store.invalidateCache(rec)
+	if err := d.store.logMutationCtx(ctx, rec); err != nil {
 		return v, err
 	}
 	d.store.ScheduleSave()
@@ -810,7 +831,7 @@ func (d *Dataset) Checkout(vids ...VersionID) ([]Row, error) {
 // the cache lookup, bitmap resolution, and record fetch contribute nested
 // spans, and the latency lands in the hit/miss checkout histograms.
 func (d *Dataset) CheckoutCtx(ctx context.Context, vids ...VersionID) ([]Row, error) {
-	d.mu.RLock()
+	d.rlock()
 	defer d.mu.RUnlock()
 	if err := d.aliveLocked(); err != nil {
 		return nil, err
@@ -822,7 +843,7 @@ func (d *Dataset) CheckoutCtx(ctx context.Context, vids ...VersionID) ([]Row, er
 // single lock acquisition, so the pair stays mutually consistent even while
 // schema-changing commits run concurrently.
 func (d *Dataset) CheckoutWithColumns(vids ...VersionID) ([]Column, []Row, error) {
-	d.mu.RLock()
+	d.rlock()
 	defer d.mu.RUnlock()
 	if err := d.aliveLocked(); err != nil {
 		return nil, nil, err
@@ -848,7 +869,7 @@ func (d *Dataset) CheckoutWithToken(vids ...VersionID) ([]Column, []Row, uint64,
 // CheckoutWithTokenCtx is CheckoutWithToken with trace propagation (see
 // CheckoutCtx).
 func (d *Dataset) CheckoutWithTokenCtx(ctx context.Context, vids ...VersionID) ([]Column, []Row, uint64, error) {
-	d.mu.RLock()
+	d.rlock()
 	defer d.mu.RUnlock()
 	if err := d.aliveLocked(); err != nil {
 		return nil, nil, 0, err
@@ -864,7 +885,7 @@ func (d *Dataset) CheckoutWithTokenCtx(ctx context.Context, vids ...VersionID) (
 // CacheGeneration returns the dataset's current cache generation (see
 // CheckoutWithToken) under the dataset read lock.
 func (d *Dataset) CacheGeneration() uint64 {
-	d.mu.RLock()
+	d.rlock()
 	defer d.mu.RUnlock()
 	return d.store.cache.Generation(d.cvd.Name())
 }
@@ -887,7 +908,7 @@ func (s *Store) SetCacheBudget(budget int64) { s.cache.SetBudget(budget) }
 
 // DiffWithColumns is Diff plus the schema under a single lock acquisition.
 func (d *Dataset) DiffWithColumns(a, b VersionID) (cols []Column, onlyA, onlyB []Row, err error) {
-	d.mu.RLock()
+	d.rlock()
 	defer d.mu.RUnlock()
 	if err := d.aliveLocked(); err != nil {
 		return nil, nil, nil, err
@@ -911,7 +932,7 @@ func (d *Dataset) CheckoutToTable(table string, vids ...VersionID) error {
 	// be observed half-written by concurrent SQL or saves.
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
-	d.mu.RLock()
+	d.rlock()
 	defer d.mu.RUnlock()
 	if err := d.aliveLocked(); err != nil {
 		return err
@@ -937,7 +958,7 @@ func (d *Dataset) CommitTable(table, msg string) (VersionID, error) {
 	// under any SQL statement that could name it.
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
-	d.mu.Lock()
+	d.lock()
 	defer d.mu.Unlock()
 	if err := d.aliveLocked(); err != nil {
 		return 0, err
@@ -971,7 +992,9 @@ func (d *Dataset) CommitTable(table, msg string) (VersionID, error) {
 	if err != nil {
 		return 0, err
 	}
-	s.cache.InvalidateDataset(d.cvd.Name()) // before WAL append; see Commit
+	// A staged table may carry a new schema (see CommitWithSchema); before
+	// WAL append, see Commit.
+	s.invalidateCache(&wal.Record{Type: wal.TypeCommitTable, Dataset: d.cvd.Name()})
 	if staged != nil {
 		if info, ierr := d.cvd.Info(v); ierr == nil {
 			staged.TimeNanos = info.CommitTime.UnixNano()
@@ -997,7 +1020,7 @@ func (d *Dataset) CommitTable(table, msg string) (VersionID, error) {
 // bitmap differences over the versions' rlists, so only |result| records are
 // fetched from the backing tables.
 func (d *Dataset) Diff(a, b VersionID) (onlyA, onlyB []Row, err error) {
-	d.mu.RLock()
+	d.rlock()
 	defer d.mu.RUnlock()
 	if err := d.aliveLocked(); err != nil {
 		return nil, nil, err
@@ -1018,7 +1041,7 @@ func (d *Dataset) MultiVersionCheckout(vids []VersionID, ops []SetOp) ([]Row, er
 // MultiVersionCheckoutCtx is MultiVersionCheckout with trace propagation
 // (see CheckoutCtx).
 func (d *Dataset) MultiVersionCheckoutCtx(ctx context.Context, vids []VersionID, ops []SetOp) ([]Row, error) {
-	d.mu.RLock()
+	d.rlock()
 	defer d.mu.RUnlock()
 	if err := d.aliveLocked(); err != nil {
 		return nil, err
@@ -1029,14 +1052,14 @@ func (d *Dataset) MultiVersionCheckoutCtx(ctx context.Context, vids []VersionID,
 // StorageBreakdown reports where the dataset's bytes live: compressed
 // membership (rlists/vlists) versus record data.
 func (d *Dataset) StorageBreakdown() StorageBreakdown {
-	d.mu.RLock()
+	d.rlock()
 	defer d.mu.RUnlock()
 	return d.cvd.StorageBreakdown()
 }
 
 // Ancestors returns all transitive ancestors of v.
 func (d *Dataset) Ancestors(v VersionID) ([]VersionID, error) {
-	d.mu.RLock()
+	d.rlock()
 	defer d.mu.RUnlock()
 	if err := d.aliveLocked(); err != nil {
 		return nil, err
@@ -1046,7 +1069,7 @@ func (d *Dataset) Ancestors(v VersionID) ([]VersionID, error) {
 
 // Descendants returns all transitive descendants of v.
 func (d *Dataset) Descendants(v VersionID) ([]VersionID, error) {
-	d.mu.RLock()
+	d.rlock()
 	defer d.mu.RUnlock()
 	if err := d.aliveLocked(); err != nil {
 		return nil, err
@@ -1056,7 +1079,7 @@ func (d *Dataset) Descendants(v VersionID) ([]VersionID, error) {
 
 // StorageBytes reports the dataset's model-owned storage.
 func (d *Dataset) StorageBytes() int64 {
-	d.mu.RLock()
+	d.rlock()
 	defer d.mu.RUnlock()
 	return d.cvd.StorageBytes()
 }
@@ -1068,7 +1091,7 @@ func (d *Dataset) CVD() *core.CVD { return d.cvd }
 // SearchVersions returns the versions whose metadata satisfies pred, a
 // version-graph shortcut query (Section 2.2).
 func (d *Dataset) SearchVersions(pred func(*VersionInfo) bool) ([]VersionID, error) {
-	d.mu.RLock()
+	d.rlock()
 	defer d.mu.RUnlock()
 	if err := d.aliveLocked(); err != nil {
 		return nil, err
@@ -1088,7 +1111,7 @@ func (d *Dataset) SearchVersions(pred func(*VersionInfo) bool) ([]VersionID, err
 
 // LastModified returns the most recent commit time across versions.
 func (d *Dataset) LastModified() (time.Time, error) {
-	d.mu.RLock()
+	d.rlock()
 	defer d.mu.RUnlock()
 	if err := d.aliveLocked(); err != nil {
 		return time.Time{}, err
@@ -1109,7 +1132,7 @@ func (d *Dataset) LastModified() (time.Time, error) {
 // RecencyWeights builds a checkout-frequency map weighting the most recent
 // recentFraction of versions hot× more than the rest.
 func (d *Dataset) RecencyWeights(recentFraction float64, hot int64) map[VersionID]int64 {
-	d.mu.RLock()
+	d.rlock()
 	defer d.mu.RUnlock()
 	return d.cvd.RecencyWeights(recentFraction, hot)
 }

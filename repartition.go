@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"time"
 
-	"orpheusdb/internal/bitmap"
 	"orpheusdb/internal/core"
 	"orpheusdb/internal/obs"
-	"orpheusdb/internal/wal"
 )
 
 // Repartitioning (Section 4.3). A partitioned layout changes in exactly one
@@ -113,7 +111,7 @@ func (d *Dataset) repartition(reason string, stop <-chan struct{}, plan func(*co
 	defer root.End()
 
 	_, planSpan := obs.StartSpan(ctx, "optimize.plan")
-	d.mu.RLock()
+	d.rlock()
 	var p *core.RepartitionPlan
 	err := d.aliveLocked()
 	if err == nil {
@@ -144,7 +142,7 @@ func (d *Dataset) repartition(reason string, stop <-chan struct{}, plan func(*co
 		stats.PartitionBatches.Add(1)
 		stats.PartitionRowsMoved.Add(n)
 	}
-	d.mu.Lock()
+	d.lock()
 	d.cvd.CompleteRepartition(p)
 	status, _ := d.cvd.PartitionStatus()
 	d.mu.Unlock()
@@ -178,7 +176,7 @@ func (d *Dataset) applyBatch(ctx context.Context, b core.PartitionBatch) (int64,
 	defer span.End()
 	s.ioMu.RLock()
 	defer s.ioMu.RUnlock()
-	d.mu.Lock()
+	d.lock()
 	defer d.mu.Unlock()
 	if err := d.aliveLocked(); err != nil {
 		return 0, err
@@ -188,7 +186,7 @@ func (d *Dataset) applyBatch(ctx context.Context, b core.PartitionBatch) (int64,
 		return 0, err
 	}
 	rec := migrateBatchRecord(d.cvd.Name(), b)
-	s.invalidateMoved(rec)
+	s.invalidateCache(rec)
 	if err := s.logMutation(rec); err != nil {
 		return n, err
 	}
@@ -196,21 +194,11 @@ func (d *Dataset) applyBatch(ctx context.Context, b core.PartitionBatch) (int64,
 	return n, nil
 }
 
-// invalidateMoved drops the cache entries that read the versions a migration
-// batch remapped. Migration preserves every version's materialized contents,
-// so nothing else goes — and the dataset generation (the ETag validator)
-// does not move.
-func (s *Store) invalidateMoved(rec *wal.Record) {
-	if len(rec.MovedVersions) > 0 {
-		s.cache.InvalidateVersions(rec.Dataset, bitmap.FromSlice(rec.MovedVersions))
-	}
-}
-
 // PartitionStatus snapshots the dataset's partitioned layout (partition
 // sizes, storage amplification, δ*, current average checkout cost). ok is
 // false for datasets on non-partitioned models.
 func (d *Dataset) PartitionStatus() (*core.PartitionStatus, bool) {
-	d.mu.RLock()
+	d.rlock()
 	defer d.mu.RUnlock()
 	return d.cvd.PartitionStatus()
 }

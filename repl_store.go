@@ -113,19 +113,15 @@ func (s *Store) ApplyReplicated(lsn uint64, rec *wal.Record) error {
 		if err != nil {
 			return fmt.Errorf("orpheusdb: replication apply LSN %d: %w", lsn, err)
 		}
-		d.mu.Lock()
+		d.lock()
 		defer d.mu.Unlock()
 	}
 	if err := s.applyRecord(rec); err != nil {
 		return fmt.Errorf("orpheusdb: replication apply LSN %d (%s %s): %w", lsn, rec.Type, rec.Dataset, err)
 	}
-	// Same rule as every primary-side mutator: invalidate inside the
-	// critical section so no reader revalidates a stale materialization.
-	if rec.Type == wal.TypeOptimizeMigrate {
-		s.invalidateMoved(rec)
-	} else if rec.Dataset != "" {
-		s.cache.InvalidateDataset(rec.Dataset)
-	}
+	// The primary's rule, inside the same critical section: no reader
+	// revalidates a stale materialization, and none loses a live one.
+	s.invalidateCache(rec)
 	s.db.SetWalLSN(lsn)
 	return nil
 }

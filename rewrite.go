@@ -61,9 +61,9 @@ func (s *Store) lockAllDatasets(write bool) func() {
 			continue
 		}
 		if write {
-			d.mu.Lock()
+			d.lock()
 		} else {
-			d.mu.RLock()
+			d.rlock()
 		}
 		locked = append(locked, d)
 	}
@@ -327,7 +327,7 @@ func (src *cvdSource) MaterializeVersionRef(ref *sql.TableRef) ([]engine.Column,
 		return nil, nil, err
 	}
 	if !src.locked {
-		d.mu.RLock()
+		d.rlock()
 		defer d.mu.RUnlock()
 	}
 	if err := d.aliveLocked(); err != nil {

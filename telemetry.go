@@ -30,7 +30,7 @@ type (
 // and per-branch checkout rates (recent accesses joined against each
 // branch's lineage bitmap).
 func (d *Dataset) Heat(topK int) (HeatSnapshot, error) {
-	d.mu.RLock()
+	d.rlock()
 	defer d.mu.RUnlock()
 	if err := d.aliveLocked(); err != nil {
 		return HeatSnapshot{}, err
@@ -42,7 +42,7 @@ func (d *Dataset) Heat(topK int) (HeatSnapshot, error) {
 // frequencies (nil when nothing was recorded) — the optimizer's drift
 // weights.
 func (d *Dataset) HeatWeights() map[VersionID]int64 {
-	d.mu.RLock()
+	d.rlock()
 	defer d.mu.RUnlock()
 	return d.cvd.Heat().Weights()
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"orpheusdb/internal/bitmap"
 	"orpheusdb/internal/core"
 	"orpheusdb/internal/wal"
 )
@@ -180,6 +181,35 @@ func (d *Dataset) commitRecord(typ wal.Type, cols []Column, rows []Row, parents 
 		rec.Members = set
 	}
 	return rec
+}
+
+// invalidateCache drops the checkout-cache entries one mutation can change,
+// keyed by the type of the mutation's WAL record. It is the single cache
+// rule: primary mutators call it inside their critical section before the
+// WAL append, and a follower calls it after applying the shipped record, so
+// both drop exactly the same entries.
+//
+// Committed versions never change. A commit or merge adds a version and
+// leaves every older version's record set as it was, so it drops only the
+// entries tagged with no version set (the all-versions view behind
+// `FROM CVD name`), and the dataset's generation — the ETag validator — does
+// not move. A migration batch drops the entries that read the versions it
+// moved, also without moving the generation. Only records that can change
+// the pool schema or what a dataset name refers to (init, drop, schema and
+// staged-table commits, legacy whole-layout optimizes) drop every entry and
+// advance the generation. Branch and user records change no materialization.
+func (s *Store) invalidateCache(rec *wal.Record) {
+	switch rec.Type {
+	case wal.TypeCommit, wal.TypeMerge:
+		s.cache.InvalidateVersions(rec.Dataset, bitmap.FromSlice([]int64{rec.Version}))
+	case wal.TypeOptimizeMigrate:
+		if len(rec.MovedVersions) > 0 {
+			s.cache.InvalidateVersions(rec.Dataset, bitmap.FromSlice(rec.MovedVersions))
+		}
+	case wal.TypeInit, wal.TypeDrop, wal.TypeCommitSchema, wal.TypeCommitTable,
+		wal.TypeOptimize, wal.TypeMaintain:
+		s.cache.InvalidateDataset(rec.Dataset)
+	}
 }
 
 // applyRecord replays one WAL record against the store. It runs during
