@@ -17,9 +17,9 @@ import (
 // reconciles two divergent versions three-way against their lowest common
 // ancestor using bitmap algebra over the versions' rlists, with record-level
 // primary-key conflict detection and pluggable resolution. Every branch
-// mutation and merge is WAL-logged inside its critical section like any
-// other store mutation, and merge commits invalidate the checkout cache the
-// same way plain commits do.
+// mutation and merge is WAL-logged like any other store mutation — a merge,
+// like a commit, before it becomes visible — and merge commits invalidate
+// the checkout cache the same way plain commits do.
 
 // Re-exported branch/merge identifiers.
 type (
@@ -56,7 +56,7 @@ func (d *Dataset) CreateBranch(name string, at VersionID) (*BranchInfo, error) {
 	d.store.ioMu.RLock()
 	defer d.store.ioMu.RUnlock()
 	d.lock()
-	defer d.mu.Unlock()
+	defer d.unlock()
 	if err := d.aliveLocked(); err != nil {
 		return nil, err
 	}
@@ -110,7 +110,7 @@ func (d *Dataset) DeleteBranch(name string) error {
 	d.store.ioMu.RLock()
 	defer d.store.ioMu.RUnlock()
 	d.lock()
-	defer d.mu.Unlock()
+	defer d.unlock()
 	if err := d.aliveLocked(); err != nil {
 		return err
 	}
@@ -172,9 +172,11 @@ func (d *Dataset) Merge(oursRef, theirsRef string, policy MergePolicy, msg strin
 }
 
 // MergeCtx is Merge with trace propagation and latency observation: the LCA
-// discovery, bitmap merge formula, merge commit, and WAL append contribute
-// nested spans when ctx carries a trace, and the end-to-end latency lands in
-// the merge histogram.
+// discovery, bitmap merge formula, WAL append and install contribute nested
+// spans when ctx carries a trace, and the end-to-end latency lands in the
+// merge histogram. Like CommitCtx, a merge is planned under the dataset lock
+// held shared, logged, and only then installed — the merge version and any
+// branch advance, fast-forwards included — in the one exclusive section.
 func (d *Dataset) MergeCtx(ctx context.Context, oursRef, theirsRef string, policy MergePolicy, msg string) (*MergeResult, error) {
 	start := time.Now()
 	defer func() { d.store.obs.mergeSeconds.ObserveDuration(time.Since(start)) }()
@@ -187,18 +189,52 @@ func (d *Dataset) MergeCtx(ctx context.Context, oursRef, theirsRef string, polic
 	}
 	d.store.ioMu.RLock()
 	defer d.store.ioMu.RUnlock()
-	d.lock()
-	defer d.mu.Unlock()
+	writerWait := d.waitWriter()
+	defer d.wmu.Unlock()
+	d.mu.RLock() // never waits on an exclusive holder: they all hold wmu
+	p, rec, err := d.planMerge(ctx, oursRef, theirsRef, policy, msg)
+	d.mu.RUnlock()
+	var res *MergeResult
+	if p != nil {
+		res = p.Result
+	}
+	if err != nil || rec == nil {
+		return res, err // refused, failed, or nothing to change
+	}
+	err = d.logAndInstall(ctx, "merge.install", writerWait, rec, func(ctx context.Context) error {
+		if err := d.cvd.InstallMerge(ctx, p); err != nil {
+			return err
+		}
+		if rec.Branch == "" {
+			return nil
+		}
+		_, err := d.cvd.AdvanceBranch(rec.Branch, res.Version)
+		return err
+	})
+	if err != nil {
+		return res, err
+	}
+	if p.NewVersion() {
+		d.store.wakeOptimizer()
+	}
+	return res, nil
+}
+
+// planMerge resolves the references and plans the merge under the dataset
+// lock held shared. rec is the WAL record to log — a merge record for a
+// true merge, a branch-advance record for a fast-forward into a branch —
+// or nil when the merge changes nothing.
+func (d *Dataset) planMerge(ctx context.Context, oursRef, theirsRef string, policy MergePolicy, msg string) (*core.MergePlan, *wal.Record, error) {
 	if err := d.aliveLocked(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	ours, err := d.cvd.ResolveRef(oursRef)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	theirs, err := d.cvd.ResolveRef(theirsRef)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	oursBranch := ""
 	if b, berr := d.cvd.Branch(oursRef); berr == nil {
@@ -206,66 +242,37 @@ func (d *Dataset) MergeCtx(ctx context.Context, oursRef, theirsRef string, polic
 	}
 	stats := d.store.db.Stats()
 	stats.Merges.Add(1)
-	res, err := d.cvd.MergeCtx(ctx, ours, theirs, core.MergeOptions{Policy: policy, Message: msg})
-	if res != nil {
-		stats.MergeConflicts.Add(int64(len(res.Conflicts)))
+	p, err := d.cvd.PlanMerge(ctx, ours, theirs, core.MergeOptions{Policy: policy, Message: msg})
+	if p != nil {
+		stats.MergeConflicts.Add(int64(len(p.Result.Conflicts)))
 	}
 	if err != nil {
-		return res, err // conflict-refused or failed merges mutate nothing
+		return p, nil, err // conflict-refused or failed merges mutate nothing
 	}
+	res := p.Result
 	switch {
-	case res.UpToDate:
-		return res, nil
+	case res.UpToDate, res.FastForward && oursBranch == "":
+		return p, nil, nil
 	case res.FastForward:
-		if oursBranch == "" {
-			return res, nil // nothing to advance; no state changed
-		}
-		if _, err := d.cvd.AdvanceBranch(oursBranch, res.Version); err != nil {
-			return res, err
-		}
-		if err := d.store.logMutationCtx(ctx, &wal.Record{
+		return p, &wal.Record{
 			Type:    wal.TypeBranchAdvance,
 			Dataset: d.cvd.Name(),
 			Branch:  oursBranch,
 			Version: int64(res.Version),
-		}); err != nil {
-			return res, err
-		}
-		d.store.ScheduleSave()
-		return res, nil
+		}, nil
 	}
-	// A merge commit adds a version like any commit: the all-versions view
-	// must include it, every older version's entries and the dataset's
-	// generation stay. Invalidate before the branch advance and the WAL
-	// append, exactly like Commit.
-	rec := &wal.Record{
-		Type:    wal.TypeMerge,
-		Dataset: d.cvd.Name(),
-		Branch:  oursBranch,
-		Msg:     msg,
-		Policy:  policy.String(),
-		Base:    int64(res.Base),
-		Parents: []int64{int64(ours), int64(theirs)},
-		Version: int64(res.Version),
-	}
-	if info, ierr := d.cvd.Info(res.Version); ierr == nil {
-		rec.TimeNanos = info.CommitTime.UnixNano()
-	}
-	if set, serr := d.cvd.RlistSet(res.Version); serr == nil {
-		rec.Members = set
-	}
-	d.store.invalidateCache(rec)
-	if oursBranch != "" {
-		if _, err := d.cvd.AdvanceBranch(oursBranch, res.Version); err != nil {
-			return res, err
-		}
-	}
-	if err := d.store.logMutationCtx(ctx, rec); err != nil {
-		return res, err
-	}
-	d.store.ScheduleSave()
-	d.store.wakeOptimizer()
-	return res, nil
+	return p, &wal.Record{
+		Type:      wal.TypeMerge,
+		Dataset:   d.cvd.Name(),
+		Branch:    oursBranch,
+		Msg:       msg,
+		Policy:    policy.String(),
+		Base:      int64(res.Base),
+		Parents:   []int64{int64(ours), int64(theirs)},
+		Version:   int64(res.Version),
+		TimeNanos: p.Time.UnixNano(),
+		Members:   p.Members,
+	}, nil
 }
 
 // replayMerge re-runs a logged merge with the recorded timestamp and policy,

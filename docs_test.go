@@ -207,7 +207,7 @@ func TestArchitectureDocMatchesTree(t *testing.T) {
 			t.Errorf("ARCHITECTURE.md names %s but it does not exist", pkg)
 		}
 	}
-	for _, inv := range []string{"WAL-before-ack", "Cache-invalidate-in-critical-section", "canonical form"} {
+	for _, inv := range []string{"Logged before visible", "Cache-invalidate-in-critical-section", "canonical form"} {
 		if !strings.Contains(doc, inv) {
 			t.Errorf("ARCHITECTURE.md lost its %q invariant section", inv)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"orpheusdb/internal/bitmap"
 	"orpheusdb/internal/engine"
 	"orpheusdb/internal/vgraph"
 )
@@ -29,7 +30,7 @@ func (m *combinedTable) Init(cols []engine.Column) error {
 	return t.CreateIndex("rid")
 }
 
-func (m *combinedTable) Commit(vid vgraph.VersionID, _ []vgraph.VersionID, all []Record, fresh []Record) error {
+func (m *combinedTable) Commit(vid vgraph.VersionID, _ []vgraph.VersionID, all []Record, fresh []Record, _ *bitmap.Bitmap) error {
 	t, err := m.db.MustTable(m.tableName())
 	if err != nil {
 		return err

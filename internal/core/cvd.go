@@ -392,22 +392,63 @@ func (c *CVD) Commit(rows []engine.Row, parents []vgraph.VersionID, msg string) 
 
 // CommitCtx is Commit with trace propagation: the phases — record hash
 // matching against the parents, the model write, version metadata — each
-// contribute a span when ctx carries a trace.
+// contribute a span when ctx carries a trace. It is PlanCommit and
+// InstallCommit back to back.
 func (c *CVD) CommitCtx(ctx context.Context, rows []engine.Row, parents []vgraph.VersionID, msg string) (vgraph.VersionID, error) {
-	return c.commitAt(ctx, rows, parents, msg, c.Clock(), c.Clock())
+	p, err := c.PlanCommit(ctx, rows, nil, parents, msg)
+	if err != nil {
+		return 0, err
+	}
+	if err := c.InstallCommit(ctx, p); err != nil {
+		return 0, err
+	}
+	return p.Vid, nil
 }
 
-func (c *CVD) commitAt(ctx context.Context, rows []engine.Row, parents []vgraph.VersionID, msg string, checkoutT, commitT time.Time) (vgraph.VersionID, error) {
+// CommitPlan is a commit worked out against committed state without
+// changing any of it: the rows matched against the parents' records, the
+// version id and fresh record ids the install will allocate, and the
+// version's membership bitmap. A store plans under its dataset's shared
+// lock, logs the plan, and only then installs it, so a version becomes
+// visible only once its record is logged.
+type CommitPlan struct {
+	Vid        vgraph.VersionID
+	Parents    []vgraph.VersionID
+	Message    string
+	CommitTime time.Time
+	// Members is the version's rlist, built once here and shared by the
+	// WAL record, the model and the metadata mirror. Never mutate it.
+	Members *bitmap.Bitmap
+
+	checkoutTime time.Time
+	attributes   []int64 // the version's visible schema (attribute ids)
+	all, fresh   []Record
+	freshHashes  []RecordHash
+	planned      time.Duration
+}
+
+// PlanCommit validates rows (width, primary key), matches them against the
+// parents' records by content hash and predicts the version id and the
+// fresh record ids. It only reads the CVD, so it may run beside checkouts;
+// nothing else may mutate the CVD until the plan is installed. hashes, when
+// non-nil, are HashRows(rows) computed by the caller before it took any
+// lock.
+func (c *CVD) PlanCommit(ctx context.Context, rows []engine.Row, hashes []RecordHash, parents []vgraph.VersionID, msg string) (*CommitPlan, error) {
 	start := time.Now()
 	for _, p := range parents {
 		if _, err := c.vm.info(p); err != nil {
-			return 0, err
+			return nil, err
 		}
 	}
 	for i, r := range rows {
 		if len(r) != len(c.cols) {
-			return 0, fmt.Errorf("core: %s: commit row %d has %d values, want %d", c.name, i, len(r), len(c.cols))
+			return nil, fmt.Errorf("core: %s: commit row %d has %d values, want %d", c.name, i, len(r), len(c.cols))
 		}
+	}
+	if hashes == nil {
+		hashes = HashRows(rows)
+	} else if len(hashes) != len(rows) {
+		return nil, fmt.Errorf("core: %s: %d hashes for %d commit rows", c.name, len(hashes), len(rows))
 	}
 	// Primary-key constraint within the committed version.
 	if pos := c.pkPositions(); len(pos) > 0 {
@@ -419,7 +460,7 @@ func (c *CVD) commitAt(ctx context.Context, rows []engine.Row, parents []vgraph.
 			}
 			k := engine.EncodeKey(vals...)
 			if seen[k] {
-				return 0, fmt.Errorf("core: %s: commit row %d violates primary key", c.name, i)
+				return nil, fmt.Errorf("core: %s: commit row %d violates primary key", c.name, i)
 			}
 			seen[k] = true
 		}
@@ -433,7 +474,7 @@ func (c *CVD) commitAt(ctx context.Context, rows []engine.Row, parents []vgraph.
 	for _, p := range parents {
 		set, err := c.vm.rlistSet(p)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
 		parentSet.OrInPlace(set)
 	}
@@ -444,60 +485,88 @@ func (c *CVD) commitAt(ctx context.Context, rows []engine.Row, parents []vgraph.
 	})
 	parentIndex := c.rm.hashIndex(parentRids)
 
-	all := make([]Record, 0, len(rows))
-	var fresh []Record
+	p := &CommitPlan{
+		Vid:        c.vm.nextV,
+		Parents:    append([]vgraph.VersionID(nil), parents...),
+		Message:    msg,
+		attributes: append([]int64(nil), c.schema...),
+		all:        make([]Record, 0, len(rows)),
+	}
+	nextRid := c.rm.nextR
 	usedRid := make(map[vgraph.RecordID]bool, len(rows))
-	for _, r := range rows {
-		h := HashRow(r)
+	for i, r := range rows {
+		h := hashes[i]
 		if rid, ok := parentIndex[h]; ok && !usedRid[rid] {
 			usedRid[rid] = true
-			all = append(all, Record{RID: rid, Data: r})
+			p.all = append(p.all, Record{RID: rid, Data: r})
 			continue
 		}
-		rid, err := c.rm.alloc(h)
-		if err != nil {
-			return 0, err
-		}
-		usedRid[rid] = true
-		rec := Record{RID: rid, Data: r}
-		all = append(all, rec)
-		fresh = append(fresh, rec)
+		rec := Record{RID: nextRid, Data: r}
+		nextRid++
+		p.all = append(p.all, rec)
+		p.fresh = append(p.fresh, rec)
+		p.freshHashes = append(p.freshHashes, h)
 	}
-	matchSpan.SetAttr("rows", strconv.Itoa(len(all)))
-	matchSpan.SetAttr("fresh", strconv.Itoa(len(fresh)))
+	p.Members = bitmap.FromSlice(ridsOf(p.all))
+	matchSpan.SetAttr("rows", strconv.Itoa(len(p.all)))
+	matchSpan.SetAttr("fresh", strconv.Itoa(len(p.fresh)))
 	matchSpan.End()
+	p.checkoutTime, p.CommitTime = c.Clock(), c.Clock()
+	p.planned = time.Since(start)
+	return p, nil
+}
 
+// InstallCommit makes a planned commit visible: the fresh records' hashes,
+// the model write and the version metadata. It first checks that the
+// plan's version id and fresh record ids are still the next ones to
+// allocate; a plan installed out of turn is refused, not renumbered.
+func (c *CVD) InstallCommit(ctx context.Context, p *CommitPlan) error {
+	start := time.Now()
+	if err := c.checkTurn(p.Vid, p.fresh); err != nil {
+		return err
+	}
+	if err := c.rm.alloc(p.freshHashes); err != nil {
+		return err
+	}
 	vid := c.vm.allocVersion()
 	_, modelSpan := obs.StartSpan(ctx, "commit.model")
-	if err := c.model.Commit(vid, parents, all, fresh); err != nil {
-		modelSpan.End()
-		return 0, err
-	}
+	err := c.model.Commit(vid, p.Parents, p.all, p.fresh, p.Members)
 	modelSpan.End()
-	rlist := make([]vgraph.RecordID, len(all))
-	for i, r := range all {
-		rlist[i] = r.RID
+	if err != nil {
+		return err
 	}
 	info := &VersionInfo{
 		ID:           vid,
-		Parents:      append([]vgraph.VersionID(nil), parents...),
-		CheckoutTime: checkoutT,
-		CommitTime:   commitT,
-		Message:      msg,
-		Attributes:   append([]int64(nil), c.schema...),
-		NumRecords:   len(all),
+		Parents:      p.Parents,
+		CheckoutTime: p.checkoutTime,
+		CommitTime:   p.CommitTime,
+		Message:      p.Message,
+		Attributes:   p.attributes,
+		NumRecords:   len(p.all),
 	}
 	_, metaSpan := obs.StartSpan(ctx, "commit.meta")
-	err := c.vm.add(info, rlist)
+	err = c.vm.add(info, p.Members)
 	metaSpan.End()
 	if err != nil {
-		return 0, err
+		return err
 	}
 	if c.metrics != nil {
-		c.metrics.Commit.ObserveDuration(time.Since(start))
+		c.metrics.Commit.ObserveDuration(p.planned + time.Since(start))
 	}
-	c.heat.RecordCommit(parents)
-	return vid, nil
+	c.heat.RecordCommit(p.Parents)
+	return nil
+}
+
+// checkTurn reports whether vid and the fresh records' ids are the next
+// version and record ids to allocate.
+func (c *CVD) checkTurn(vid vgraph.VersionID, fresh []Record) error {
+	if vid != c.vm.nextV {
+		return fmt.Errorf("core: %s: plan for version %d installed when the next version is %d", c.name, vid, c.vm.nextV)
+	}
+	if len(fresh) > 0 && fresh[0].RID != c.rm.nextR {
+		return fmt.Errorf("core: %s: plan allocates records from %d when the next record is %d", c.name, fresh[0].RID, c.rm.nextR)
+	}
+	return nil
 }
 
 // SetCache attaches the checkout cache consulted by Checkout,
@@ -669,10 +738,10 @@ func (c *CVD) checkoutUncached(ctx context.Context, vids ...vgraph.VersionID) ([
 }
 
 // Diff returns the records present in a but not b, and in b but not a — the
-// standard differencing operation of Section 2.2. The two sides are bitmap
-// differences of the versions' rlists, so only the |result| records are
-// fetched from the data tables; neither version is materialized in full on
-// models exposing record fetch.
+// standard differencing operation of Section 2.2. The two sides together are
+// the symmetric difference of the versions' rlists, fetched from the data
+// tables in one pass and split by membership in a; neither version is
+// materialized in full on models exposing record fetch.
 func (c *CVD) Diff(a, b vgraph.VersionID) (onlyA, onlyB []engine.Row, err error) {
 	sa, err := c.vm.rlistSet(a)
 	if err != nil {
@@ -682,13 +751,17 @@ func (c *CVD) Diff(a, b vgraph.VersionID) (onlyA, onlyB []engine.Row, err error)
 	if err != nil {
 		return nil, nil, err
 	}
-	onlyA, err = c.fetchRows(bitmap.AndNot(sa, sb), a)
+	recs, err := c.fetchRecords(bitmap.Xor(sa, sb), a, b)
 	if err != nil {
 		return nil, nil, err
 	}
-	onlyB, err = c.fetchRows(bitmap.AndNot(sb, sa), b)
-	if err != nil {
-		return nil, nil, err
+	onlyA, onlyB = []engine.Row{}, []engine.Row{}
+	for _, r := range recs {
+		if sa.Contains(int64(r.RID)) {
+			onlyA = append(onlyA, r.Data)
+		} else {
+			onlyB = append(onlyB, r.Data)
+		}
 	}
 	return onlyA, onlyB, nil
 }

@@ -46,13 +46,11 @@ func (m *deltaModel) Init(cols []engine.Column) error {
 	return pt.SetPrimaryKey("vid")
 }
 
-func (m *deltaModel) Commit(vid vgraph.VersionID, parents []vgraph.VersionID, all []Record, fresh []Record) error {
+func (m *deltaModel) Commit(vid vgraph.VersionID, parents []vgraph.VersionID, all []Record, fresh []Record, ridSet *bitmap.Bitmap) error {
 	pt, err := m.db.MustTable(m.precedentName())
 	if err != nil {
 		return err
 	}
-	ridSet := bitmap.FromSlice(ridsOf(all))
-
 	// Base = the parent sharing the most records with the new version
 	// (storing deltas against multiple parents would complicate
 	// reconstruction; the paper opts for the single-base solution). The

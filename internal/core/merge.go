@@ -81,12 +81,45 @@ func (c *CVD) Merge(ours, theirs vgraph.VersionID, opts MergeOptions) (*MergeRes
 
 // MergeCtx is Merge with trace propagation: LCA discovery, the bitmap merge
 // formula (including record fetch and conflict detection), and the merge
-// commit each contribute a span when ctx carries a trace.
+// commit each contribute a span when ctx carries a trace. It is PlanMerge
+// and InstallMerge back to back.
 func (c *CVD) MergeCtx(ctx context.Context, ours, theirs vgraph.VersionID, opts MergeOptions) (*MergeResult, error) {
-	return c.mergeAt(ctx, ours, theirs, opts, c.Clock())
+	p, err := c.PlanMerge(ctx, ours, theirs, opts)
+	if err != nil {
+		if p != nil {
+			return p.Result, err
+		}
+		return nil, err
+	}
+	if err := c.InstallMerge(ctx, p); err != nil {
+		return nil, err
+	}
+	return p.Result, nil
 }
 
-func (c *CVD) mergeAt(ctx context.Context, ours, theirs vgraph.VersionID, opts MergeOptions, at time.Time) (*MergeResult, error) {
+// MergePlan is a merge worked out against committed state without changing
+// any of it (see CommitPlan). Result is the report the merge returns; when
+// it is UpToDate or FastForward there is no version to install.
+type MergePlan struct {
+	Result *MergeResult
+	Time   time.Time
+	// Members is the merge version's rlist, built once here and shared by
+	// the WAL record, the model and the metadata mirror. Never mutate it.
+	Members *bitmap.Bitmap
+
+	message string
+	all     []Record
+}
+
+// NewVersion reports whether installing the plan adds a merge version.
+func (p *MergePlan) NewVersion() bool { return !p.Result.UpToDate && !p.Result.FastForward }
+
+// PlanMerge discovers the lowest common ancestor, evaluates the bitmap merge
+// formula with record-level conflict detection, and fetches the merged
+// records, predicting the merge version's id. Like PlanCommit it only reads
+// the CVD. Under PolicyFail with conflicts the error is a *ConflictError and
+// the returned plan carries the report.
+func (c *CVD) PlanMerge(ctx context.Context, ours, theirs vgraph.VersionID, opts MergeOptions) (*MergePlan, error) {
 	if _, err := c.vm.info(ours); err != nil {
 		return nil, err
 	}
@@ -94,6 +127,7 @@ func (c *CVD) mergeAt(ctx context.Context, ours, theirs vgraph.VersionID, opts M
 		return nil, err
 	}
 	res := &MergeResult{Ours: ours, Theirs: theirs}
+	p := &MergePlan{Result: res}
 	_, lcaSpan := obs.StartSpan(ctx, "merge.lca")
 	ancO, err := c.ancestrySet(ours)
 	if err != nil {
@@ -108,12 +142,12 @@ func (c *CVD) mergeAt(ctx context.Context, ours, theirs vgraph.VersionID, opts M
 	if ancO.Contains(int64(theirs)) {
 		lcaSpan.End()
 		res.Version, res.Base, res.UpToDate = ours, theirs, true
-		return res, nil
+		return p, nil
 	}
 	if ancT.Contains(int64(ours)) {
 		lcaSpan.End()
 		res.Version, res.Base, res.FastForward = theirs, ours, true
-		return res, nil
+		return p, nil
 	}
 	levels := c.vm.levels()
 	base, ok := merge.LCAFromSets(ancO, ancT, func(v vgraph.VersionID) int { return levels[v] })
@@ -172,27 +206,27 @@ func (c *CVD) mergeAt(ctx context.Context, ours, theirs vgraph.VersionID, opts M
 	}
 	res.Conflicts = mres.Conflicts
 	if mres.Members == nil {
-		return res, &ConflictError{CVD: c.name, Result: res}
+		return p, &ConflictError{CVD: c.name, Result: res}
 	}
-	_, commitSpan := obs.StartSpan(ctx, "merge.commit")
-	vid, err := c.commitMerged(mres.Members, ours, theirs, opts, at)
-	commitSpan.End()
+	_, fetchSpan := obs.StartSpan(ctx, "merge.fetch")
+	err = c.planMerged(p, mres.Members, opts.Message)
+	fetchSpan.End()
 	if err != nil {
 		return nil, err
 	}
-	res.Version = vid
-	c.heat.RecordMerge(ours, theirs)
-	return res, nil
+	p.Time = c.Clock()
+	return p, nil
 }
 
-// commitMerged commits an exact record set as a merge version with parents
-// (ours, theirs). All records already exist in a parent, so no fresh rows are
-// handed to the model and no record ids are allocated: the version's rlist is
+// planMerged fetches the exact merged record set the merge version will
+// hold. All records already exist in a parent, so no fresh rows are handed
+// to the model and no record ids are allocated: the version's rlist is
 // precisely the merged bitmap.
-func (c *CVD) commitMerged(members *bitmap.Bitmap, ours, theirs vgraph.VersionID, opts MergeOptions, at time.Time) (vgraph.VersionID, error) {
-	all, err := c.fetchRecords(members, ours, theirs)
+func (c *CVD) planMerged(p *MergePlan, members *bitmap.Bitmap, msg string) error {
+	res := p.Result
+	all, err := c.fetchRecords(members, res.Ours, res.Theirs)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	// Defensive primary-key check: conflict resolution should leave exactly
 	// one record per key, so a violation here is a merge-planner bug, not a
@@ -206,37 +240,55 @@ func (c *CVD) commitMerged(members *bitmap.Bitmap, ours, theirs vgraph.VersionID
 			}
 			k := engine.EncodeKey(vals...)
 			if seen[k] {
-				return 0, fmt.Errorf("core: %s: merged record set violates primary key at %q", c.name, k)
+				return fmt.Errorf("core: %s: merged record set violates primary key at %q", c.name, k)
 			}
 			seen[k] = true
 		}
 	}
-	msg := opts.Message
 	if msg == "" {
-		msg = fmt.Sprintf("merge version %d into %d", theirs, ours)
+		msg = fmt.Sprintf("merge version %d into %d", res.Theirs, res.Ours)
 	}
-	parents := []vgraph.VersionID{ours, theirs}
+	p.message = msg
+	p.all = all
+	// The canonical form of the algebraic result (set algebra may leave
+	// non-canonical containers behind).
+	p.Members = bitmap.FromSlice(ridsOf(all))
+	res.Version = c.vm.nextV
+	return nil
+}
+
+// InstallMerge makes a planned merge version visible: the model write and
+// the version metadata, after checking that the plan's version id is still
+// the next one to allocate. Plans without a new version install nothing.
+func (c *CVD) InstallMerge(ctx context.Context, p *MergePlan) error {
+	if !p.NewVersion() {
+		return nil
+	}
+	res := p.Result
+	if err := c.checkTurn(res.Version, nil); err != nil {
+		return err
+	}
+	parents := []vgraph.VersionID{res.Ours, res.Theirs}
 	vid := c.vm.allocVersion()
-	if err := c.model.Commit(vid, parents, all, nil); err != nil {
-		return 0, err
-	}
-	rlist := make([]vgraph.RecordID, len(all))
-	for i, r := range all {
-		rlist[i] = r.RID
+	_, commitSpan := obs.StartSpan(ctx, "merge.commit")
+	defer commitSpan.End()
+	if err := c.model.Commit(vid, parents, p.all, nil, p.Members); err != nil {
+		return err
 	}
 	info := &VersionInfo{
 		ID:           vid,
 		Parents:      parents,
-		CheckoutTime: at,
-		CommitTime:   at,
-		Message:      msg,
+		CheckoutTime: p.Time,
+		CommitTime:   p.Time,
+		Message:      p.message,
 		Attributes:   append([]int64(nil), c.schema...),
-		NumRecords:   len(all),
+		NumRecords:   len(p.all),
 	}
-	if err := c.vm.add(info, rlist); err != nil {
-		return 0, err
+	if err := c.vm.add(info, p.Members); err != nil {
+		return err
 	}
-	return vid, nil
+	c.heat.RecordMerge(res.Ours, res.Theirs)
+	return nil
 }
 
 // MergeBase returns the lowest common ancestor of a and b (ok=false when

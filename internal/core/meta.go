@@ -137,8 +137,10 @@ func (vm *versionManager) allocVersion() vgraph.VersionID {
 	return v
 }
 
-// add records a committed version in both tables and the mirror.
-func (vm *versionManager) add(info *VersionInfo, rlist []vgraph.RecordID) error {
+// add records a committed version in both tables and the mirror. set is
+// the version's canonical membership bitmap; it is stored as is and must
+// not be mutated afterwards.
+func (vm *versionManager) add(info *VersionInfo, set *bitmap.Bitmap) error {
 	mt, err := vm.db.MustTable(vm.metaName())
 	if err != nil {
 		return err
@@ -163,11 +165,6 @@ func (vm *versionManager) add(info *VersionInfo, rlist []vgraph.RecordID) error 
 	if err != nil {
 		return err
 	}
-	set := bitmap.New()
-	for _, r := range rlist {
-		set.Add(int64(r))
-	}
-	set.Optimize()
 	if _, err := rt.Insert(engine.Row{
 		engine.IntValue(int64(info.ID)),
 		engine.BitmapValue(set),
@@ -310,23 +307,29 @@ func (rm *recordManager) load() error {
 	return nil
 }
 
-// alloc registers a new record with its content hash.
-func (rm *recordManager) alloc(h RecordHash) (vgraph.RecordID, error) {
+// alloc registers one new record per content hash, under consecutive rids
+// from nextR on.
+func (rm *recordManager) alloc(hashes []RecordHash) error {
+	if len(hashes) == 0 {
+		return nil
+	}
 	t, err := rm.db.MustTable(rm.tableName())
 	if err != nil {
-		return 0, err
+		return err
 	}
-	rid := rm.nextR
-	rm.nextR++
-	if _, err := t.Insert(engine.Row{
-		engine.IntValue(int64(rid)),
-		engine.IntValue(int64(h.H1)),
-		engine.IntValue(int64(h.H2)),
-	}); err != nil {
-		return 0, err
+	for _, h := range hashes {
+		rid := rm.nextR
+		if _, err := t.Insert(engine.Row{
+			engine.IntValue(int64(rid)),
+			engine.IntValue(int64(h.H1)),
+			engine.IntValue(int64(h.H2)),
+		}); err != nil {
+			return err
+		}
+		rm.nextR++
+		rm.hashes[rid] = h
 	}
-	rm.hashes[rid] = h
-	return rid, nil
+	return nil
 }
 
 // hashIndex builds a hash → rid map over the given records, used to match a

@@ -46,8 +46,10 @@ type DataModel interface {
 	// Commit stores version vid. all lists every record in the version;
 	// fresh lists the subset newly created by this commit (their Data rows
 	// are not yet known to the model). parents are the version's parent
-	// ids, needed by the delta model to choose its base.
-	Commit(vid vgraph.VersionID, parents []vgraph.VersionID, all []Record, fresh []Record) error
+	// ids, needed by the delta model to choose its base. members is the
+	// version's canonical rlist bitmap (the rids of all), shared with the
+	// version metadata: models store it as is and never mutate it.
+	Commit(vid vgraph.VersionID, parents []vgraph.VersionID, all []Record, fresh []Record, members *bitmap.Bitmap) error
 
 	// Checkout returns every record of vid. For the array-based models
 	// this is the operation Figure 3c measures.

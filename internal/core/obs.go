@@ -14,8 +14,9 @@ type Metrics struct {
 	// distribution pair behind the paper's checkout-latency claims.
 	CheckoutHit  *obs.Histogram
 	CheckoutMiss *obs.Histogram
-	// Commit observes core commit latency (hash matching + model write +
-	// metadata). Merge latency is observed one layer up, by the store's
+	// Commit observes core commit latency: the plan (hash matching) plus
+	// the install (model write + metadata), not the WAL append a store
+	// runs between them. Merge latency is observed one layer up, by the store's
 	// Merge wrapper, since a merge spans branch resolution the CVD cannot
 	// see.
 	Commit *obs.Histogram

@@ -176,8 +176,7 @@ func (m *partitionedRlist) WeightedCheckoutCost(freq map[vgraph.VersionID]int64)
 	return float64(num) / float64(den)
 }
 
-func (m *partitionedRlist) Commit(vid vgraph.VersionID, parents []vgraph.VersionID, all []Record, fresh []Record) error {
-	ridSet := bitmap.FromSlice(ridsOf(all))
+func (m *partitionedRlist) Commit(vid vgraph.VersionID, parents []vgraph.VersionID, all []Record, fresh []Record, ridSet *bitmap.Bitmap) error {
 	// Online placement (Section 4.3): join the best parent's partition
 	// unless the overlap is small while storage headroom remains. Overlaps
 	// are bitmap intersection cardinalities against each parent's rlist.

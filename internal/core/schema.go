@@ -77,15 +77,22 @@ func (c *CVD) loadSchema() (bool, error) {
 // attributes are added to the pool, and conflicting types are widened. The
 // new version's visible schema is exactly cols.
 func (c *CVD) CommitWithSchema(cols []engine.Column, rows []engine.Row, parents []vgraph.VersionID, msg string) (vgraph.VersionID, error) {
-	return c.CommitWithSchemaCtx(context.Background(), cols, rows, parents, msg)
+	p, err := c.CommitWithSchemaCtx(context.Background(), cols, rows, parents, msg)
+	if err != nil {
+		return 0, err
+	}
+	return p.Vid, nil
 }
 
 // CommitWithSchemaCtx is CommitWithSchema with trace propagation (the commit
-// phases contribute spans when ctx carries a trace).
-func (c *CVD) CommitWithSchemaCtx(ctx context.Context, cols []engine.Column, rows []engine.Row, parents []vgraph.VersionID, msg string) (vgraph.VersionID, error) {
+// phases contribute spans when ctx carries a trace). It evolves the schema
+// and then plans and installs the commit in one go, returning the
+// installed plan. Schema evolution changes the CVD before the commit can be
+// planned, so unlike Commit it cannot be split around a WAL append.
+func (c *CVD) CommitWithSchemaCtx(ctx context.Context, cols []engine.Column, rows []engine.Row, parents []vgraph.VersionID, msg string) (*CommitPlan, error) {
 	for i, r := range rows {
 		if len(r) != len(cols) {
-			return 0, fmt.Errorf("core: %s: commit row %d has %d values, want %d", c.name, i, len(r), len(cols))
+			return nil, fmt.Errorf("core: %s: commit row %d has %d values, want %d", c.name, i, len(r), len(cols))
 		}
 	}
 	// Resolve each incoming column to a physical position and an
@@ -104,10 +111,10 @@ func (c *CVD) CommitWithSchemaCtx(ctx context.Context, cols []engine.Column, row
 			// Brand-new attribute: extend the pool; old records get NULL.
 			id, err := c.am.add(col.Name, col.Type)
 			if err != nil {
-				return 0, err
+				return nil, err
 			}
 			if err := c.model.AddColumn(col); err != nil {
-				return 0, err
+				return nil, err
 			}
 			c.cols = append(c.cols, col)
 			c.schema = append(c.schema, id)
@@ -128,12 +135,12 @@ func (c *CVD) CommitWithSchemaCtx(ctx context.Context, cols []engine.Column, row
 			var err error
 			id, err = c.am.add(col.Name, wide)
 			if err != nil {
-				return 0, err
+				return nil, err
 			}
 		}
 		if wide != c.cols[at].Type {
 			if err := c.model.AlterColumnType(col.Name, wide); err != nil {
-				return 0, err
+				return nil, err
 			}
 			c.cols[at].Type = wide
 			c.schema[at] = id
@@ -141,7 +148,7 @@ func (c *CVD) CommitWithSchemaCtx(ctx context.Context, cols []engine.Column, row
 		visible[i] = id
 	}
 	if err := c.saveSchema(); err != nil {
-		return 0, err
+		return nil, err
 	}
 
 	// Re-shape rows onto the physical pool, widening values as needed.
@@ -161,14 +168,15 @@ func (c *CVD) CommitWithSchemaCtx(ctx context.Context, cols []engine.Column, row
 		phys[i] = pr
 	}
 
-	vid, err := c.commitAt(ctx, phys, parents, msg, c.Clock(), c.Clock())
+	p, err := c.PlanCommit(ctx, phys, nil, parents, msg)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	// Record the version's visible schema.
-	info := c.vm.infos[vid]
-	info.Attributes = visible
-	return vid, nil
+	p.attributes = visible
+	if err := c.InstallCommit(ctx, p); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 // widenValue converts v to the wider kind k.

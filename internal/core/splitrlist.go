@@ -42,7 +42,7 @@ func (m *splitByRlist) Init(cols []engine.Column) error {
 	return vt.SetPrimaryKey("vid")
 }
 
-func (m *splitByRlist) Commit(vid vgraph.VersionID, _ []vgraph.VersionID, all []Record, fresh []Record) error {
+func (m *splitByRlist) Commit(vid vgraph.VersionID, _ []vgraph.VersionID, _ []Record, fresh []Record, members *bitmap.Bitmap) error {
 	dt, err := m.db.MustTable(m.dataName())
 	if err != nil {
 		return err
@@ -59,7 +59,7 @@ func (m *splitByRlist) Commit(vid vgraph.VersionID, _ []vgraph.VersionID, all []
 	// INSERT INTO versioningTable VALUES (vid, <bitmap>) — one tuple.
 	_, err = vt.Insert(engine.Row{
 		engine.IntValue(int64(vid)),
-		engine.BitmapFromSlice(ridsOf(all)),
+		engine.BitmapValue(members),
 	})
 	return err
 }

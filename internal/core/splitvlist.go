@@ -1,6 +1,7 @@
 package core
 
 import (
+	"orpheusdb/internal/bitmap"
 	"orpheusdb/internal/engine"
 	"orpheusdb/internal/vgraph"
 )
@@ -39,7 +40,7 @@ func (m *splitByVlist) Init(cols []engine.Column) error {
 	return vt.SetPrimaryKey("rid")
 }
 
-func (m *splitByVlist) Commit(vid vgraph.VersionID, _ []vgraph.VersionID, all []Record, fresh []Record) error {
+func (m *splitByVlist) Commit(vid vgraph.VersionID, _ []vgraph.VersionID, all []Record, fresh []Record, _ *bitmap.Bitmap) error {
 	dt, err := m.db.MustTable(m.dataName())
 	if err != nil {
 		return err

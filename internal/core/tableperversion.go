@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"orpheusdb/internal/bitmap"
 	"orpheusdb/internal/engine"
 	"orpheusdb/internal/vgraph"
 )
@@ -28,7 +29,7 @@ func (m *tablePerVersion) Init(cols []engine.Column) error {
 	return nil
 }
 
-func (m *tablePerVersion) Commit(vid vgraph.VersionID, _ []vgraph.VersionID, all []Record, _ []Record) error {
+func (m *tablePerVersion) Commit(vid vgraph.VersionID, _ []vgraph.VersionID, all []Record, _ []Record, _ *bitmap.Bitmap) error {
 	t, err := m.db.CreateTable(m.tableName(vid), m.cols)
 	if err != nil {
 		return err

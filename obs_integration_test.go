@@ -1,8 +1,11 @@
 package orpheusdb
 
 import (
+	"context"
 	"fmt"
 	"testing"
+
+	"orpheusdb/internal/obs"
 )
 
 // TestCheckoutLatencyHistogramsSplitHitMiss commits a dataset large enough
@@ -103,4 +106,65 @@ func TestManualOptimizeIsObserved(t *testing.T) {
 	if spans["optimize.plan"] != 1 || spans["optimize.migrate"] != rep.Batches {
 		t.Fatalf("optimize trace has spans %v, want 1 plan and %d migrate", spans, rep.Batches)
 	}
+}
+
+// TestCommitAndMergeInstallSpans: a traced commit and merge show the plan
+// phases and the WAL append beside one install span, which holds the model
+// and metadata writes — the exclusive section's length is that span.
+func TestCommitAndMergeInstallSpans(t *testing.T) {
+	s := NewStore()
+	if err := s.EnableWAL(WALConfig{Dir: t.TempDir()}); err != nil {
+		t.Fatal(err)
+	}
+	defer s.CloseWAL()
+	ds, err := s.Init("spans", protCols(), InitOptions{PrimaryKey: []string{"id"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := mustCommit(t, ds, nil, "base", 1, 2)
+	v2 := mustCommit(t, ds, []VersionID{v1}, "ours", 1, 2, 3)
+	traced := func(name string, op func(context.Context) error) obs.SpanData {
+		t.Helper()
+		ctx, root := s.Tracer().StartTrace(context.Background(), name)
+		if err := op(ctx); err != nil {
+			t.Fatal(err)
+		}
+		root.End()
+		recent := s.Tracer().Snapshot().Recent
+		if len(recent) == 0 || recent[0].Name != name {
+			t.Fatalf("newest trace is not %s: %+v", name, recent)
+		}
+		return recent[0].Root
+	}
+	check := func(root obs.SpanData, top []string, install string, inside []string) {
+		t.Helper()
+		names := map[string]*obs.SpanData{}
+		for i := range root.Children {
+			names[root.Children[i].Name] = &root.Children[i]
+		}
+		for _, n := range append(top, install) {
+			if names[n] == nil {
+				t.Fatalf("%s trace has no %s span under the root: %+v", root.Name, n, root)
+			}
+		}
+		for _, n := range inside {
+			found := false
+			for _, c := range names[install].Children {
+				found = found || c.Name == n
+			}
+			if !found || names[n] != nil {
+				t.Fatalf("%s should hold %s (and only it): %+v", install, n, root)
+			}
+		}
+	}
+	commit := traced("commit", func(ctx context.Context) error {
+		_, err := ds.CommitCtx(ctx, []Row{{Int(1), String("r1")}, {Int(4), String("r4")}}, []VersionID{v1}, "theirs")
+		return err
+	})
+	check(commit, []string{"commit.match", "wal.append"}, "commit.install", []string{"commit.model", "commit.meta"})
+	merge := traced("merge", func(ctx context.Context) error {
+		_, err := ds.MergeCtx(ctx, fmt.Sprint(v2), fmt.Sprint(v2+1), MergeOurs, "")
+		return err
+	})
+	check(merge, []string{"merge.lca", "merge.formula", "merge.fetch", "wal.append"}, "merge.install", []string{"merge.commit"})
 }

@@ -44,7 +44,7 @@ func newStoreObs() *storeObs {
 		"Checkout latency by cache outcome (single- and multi-version).",
 		obs.LatencyBuckets, "result")
 	lockWait := reg.HistogramVec("orpheus_dataset_lock_wait_seconds",
-		"Time spent waiting for a dataset's lock: read = checkouts, diffs, queries and other reads; write = commits, merges, branch changes, drops and migration batches.",
+		"Time spent waiting for a dataset's lock: read = checkouts, diffs, queries and other reads; write = commits, merges, branch changes, drops and migration batches (writer-mutex wait plus install-lock wait).",
 		obs.LatencyBuckets, "mode")
 	return &storeObs{
 		reg:    reg,
@@ -53,7 +53,7 @@ func newStoreObs() *storeObs {
 			CheckoutHit:  checkout.With("hit"),
 			CheckoutMiss: checkout.With("miss"),
 			Commit: reg.Histogram("orpheus_commit_seconds",
-				"Core commit latency: record hash matching, model write, version metadata.",
+				"Core commit latency: record hash matching (plan) plus model write and version metadata (install), WAL append excluded.",
 				obs.LatencyBuckets),
 		},
 		lockWaitRead:  lockWait.With("read"),

@@ -19,8 +19,9 @@
 // service in internal/server). Locking is layered so independent datasets
 // never contend: a store-level lock guards the dataset registry and catalog,
 // each Dataset carries its own RWMutex (commits on dataset A never block
-// checkouts on dataset B), and a store-wide save lock is held shared by
-// mutators and exclusively by Save, so snapshots observe a quiescent engine.
+// checkouts on dataset B, and block checkouts on A only while they install)
+// and writer mutex, and a store-wide save lock is held shared by mutators
+// and exclusively by Save, so snapshots observe a quiescent engine.
 package orpheusdb
 
 import (
@@ -147,9 +148,13 @@ type Store struct {
 
 	// cache is the version-aware checkout cache consulted by every
 	// checkout and versioned scan. Read paths populate it under dataset
-	// read locks; every mutator invalidates the affected dataset inside
-	// its critical section (next to the WAL append), so no reader can
-	// observe a stale entry. Set once in newStore, then read-only.
+	// read locks. Entries are keyed by immutable version sets, so a commit
+	// or merge drops only the all-versions view, a migration batch only
+	// the versions it moved, and only schema changes, drops and re-inits
+	// drop a whole dataset (invalidateCache). Every mutator invalidates
+	// while it holds the dataset lock exclusively, where it makes its
+	// change visible, so no reader can observe a stale entry. Set once in
+	// newStore, then read-only.
 	cache *cache.Cache
 
 	// Debounced async persistence (ScheduleSave / Flush).
@@ -160,13 +165,19 @@ type Store struct {
 	saveErr   error
 
 	// Write-ahead log (EnableWAL; nil when disabled). Set once before the
-	// store is shared, then read-only. walErr records the first append
-	// failure (guarded by saveMu); ckptLSN is the watermark covered by the
-	// last successful checkpoint.
-	wal     *wal.Log
-	walCfg  WALConfig
-	walErr  error
-	ckptLSN atomic.Uint64
+	// store is shared, then read-only. walErr records the first append or
+	// install failure and installErr the first install failure (both
+	// guarded by saveMu); ckptLSN is the watermark covered by the last
+	// successful checkpoint.
+	wal        *wal.Log
+	walCfg     WALConfig
+	walErr     error
+	installErr error
+	ckptLSN    atomic.Uint64
+
+	// loggedHook, when set, runs between a commit's or merge's WAL append
+	// and its install. A test seam; nil in production.
+	loggedHook func()
 
 	// obs is the store's observability substrate: metrics registry, tracer,
 	// and the histogram handles the layers observe into (see obs_store.go).
@@ -334,6 +345,14 @@ func (s *Store) SetPageBudget(n int64) { s.db.SetPageBudget(n) }
 func (s *Store) Save() error {
 	if s.path == "" {
 		return nil
+	}
+	s.saveMu.Lock()
+	stuck := s.installErr
+	s.saveMu.Unlock()
+	if stuck != nil {
+		// The log holds a record memory lacks; a checkpoint would record a
+		// watermark past it (see installFailed).
+		return fmt.Errorf("orpheusdb: checkpoint refused until restart: %w", stuck)
 	}
 	if s.db.Backend() != nil {
 		return s.saveBackend()
@@ -550,12 +569,21 @@ type Dataset struct {
 	store *Store
 	cvd   *core.CVD
 
-	// mu is the per-dataset lock: Commit, Drop and each repartitioning
-	// batch hold it exclusively, Checkout/Diff/Info and friends hold it
-	// shared. Take it through lock and rlock, which time the wait.
+	// mu is the per-dataset lock. Checkout/Diff/Info and friends hold it
+	// shared. A commit or merge holds it shared while it plans and
+	// exclusively only to install; every other mutator (Drop, branch
+	// changes, schema and staged-table commits, each repartitioning batch)
+	// holds it exclusively for its whole critical section. Take it through
+	// rlock, lock and lockInstall, which time the wait.
 	mu sync.RWMutex
+	// wmu is the writer mutex. Every mutator holds it from before it reads
+	// the state it changes until it has installed its change, so the
+	// dataset has at most one mutator in flight and a plan made under the
+	// shared lock is still valid when it is installed.
+	wmu sync.Mutex
 	// migrateMu serializes the dataset's repartitionings, held across a
-	// whole plan and taken before ioMu and mu (see repartition.go).
+	// whole plan. Lock order: migrateMu → ioMu → wmu → mu (see
+	// repartition.go).
 	migrateMu sync.Mutex
 	// dropped marks a handle whose CVD was removed by Drop; subsequent
 	// operations fail instead of writing stale state into a possibly
@@ -572,19 +600,34 @@ func (d *Dataset) aliveLocked() error {
 	return nil
 }
 
-// rlock and lock take d.mu shared or exclusive, observing how long the
-// caller waited in orpheus_dataset_lock_wait_seconds.
+// rlock takes d.mu shared, observing how long the caller waited in
+// orpheus_dataset_lock_wait_seconds{mode="read"}.
 func (d *Dataset) rlock() {
 	start := time.Now()
 	d.mu.RLock()
 	d.store.obs.lockWaitRead.ObserveDuration(time.Since(start))
 }
 
-func (d *Dataset) lock() {
+// waitWriter takes the writer mutex and returns how long that took.
+func (d *Dataset) waitWriter() time.Duration {
+	start := time.Now()
+	d.wmu.Lock()
+	return time.Since(start)
+}
+
+// lockInstall takes d.mu exclusively for a caller already holding the writer
+// mutex, which it waited for for writerWait. {mode="write"} observes both
+// waits as one.
+func (d *Dataset) lockInstall(writerWait time.Duration) {
 	start := time.Now()
 	d.mu.Lock()
-	d.store.obs.lockWaitWrite.ObserveDuration(time.Since(start))
+	d.store.obs.lockWaitWrite.ObserveDuration(writerWait + time.Since(start))
 }
+
+// lock is a mutator's single exclusive section: the writer mutex, then d.mu
+// exclusively. unlock releases both.
+func (d *Dataset) lock()   { d.lockInstall(d.waitWriter()) }
+func (d *Dataset) unlock() { d.mu.Unlock(); d.wmu.Unlock() }
 
 // Init creates a new CVD.
 func (s *Store) Init(name string, cols []Column, opts InitOptions) (*Dataset, error) {
@@ -686,7 +729,7 @@ func (s *Store) Drop(name string) error {
 		d = &Dataset{store: s, cvd: c}
 	}
 	d.lock()
-	defer d.mu.Unlock()
+	defer d.unlock()
 	if err := d.cvd.Drop(); err != nil {
 		return err
 	}
@@ -756,34 +799,76 @@ func (d *Dataset) Commit(rows []Row, parents []VersionID, msg string) (VersionID
 }
 
 // CommitCtx is Commit with trace propagation: when ctx carries a trace (the
-// HTTP middleware starts one per request), the core commit phases and the
-// WAL append contribute nested spans.
+// HTTP middleware starts one per request), the core commit phases, the WAL
+// append and the install contribute nested spans.
+//
+// A commit runs in four steps. The rows are hashed before any lock is
+// taken. The commit is planned — validated, matched against the parents,
+// its version and record ids predicted — under the dataset lock held
+// shared, beside readers. Its WAL record is appended (and fsynced, policy
+// permitting) under the writer mutex alone. Only then is it installed, in
+// the one exclusive section. Readers of committed versions wait for the
+// install at most, and the version becomes visible only once it is logged:
+// a failed append installs nothing.
 func (d *Dataset) CommitCtx(ctx context.Context, rows []Row, parents []VersionID, msg string) (VersionID, error) {
-	if err := d.store.writable(); err != nil {
+	s := d.store
+	if err := s.writable(); err != nil {
 		return 0, err
 	}
-	d.store.ioMu.RLock()
-	defer d.store.ioMu.RUnlock()
-	d.lock()
-	defer d.mu.Unlock()
-	if err := d.aliveLocked(); err != nil {
-		return 0, err
+	hashes := core.HashRows(rows)
+	s.ioMu.RLock()
+	defer s.ioMu.RUnlock()
+	writerWait := d.waitWriter()
+	defer d.wmu.Unlock()
+	// No exclusive holder can be in the way: they all hold wmu.
+	d.mu.RLock()
+	var p *core.CommitPlan
+	err := d.aliveLocked()
+	if err == nil {
+		p, err = d.cvd.PlanCommit(ctx, rows, hashes, parents, msg)
 	}
-	v, err := d.cvd.CommitCtx(ctx, rows, parents, msg)
+	d.mu.RUnlock()
 	if err != nil {
 		return 0, err
 	}
-	// Invalidate before the WAL append: even if the append fails, the
-	// version exists in memory and the all-versions view must include it.
-	// Older versions' entries stay: a commit changes none of them.
-	rec := d.commitRecord(wal.TypeCommit, nil, rows, parents, msg, v)
-	d.store.invalidateCache(rec)
-	if err := d.store.logMutationCtx(ctx, rec); err != nil {
-		return v, err
+	rec := d.commitRecord(wal.TypeCommit, nil, rows, p)
+	err = d.logAndInstall(ctx, "commit.install", writerWait, rec, func(ctx context.Context) error {
+		return d.cvd.InstallCommit(ctx, p)
+	})
+	if err != nil {
+		return 0, err
 	}
-	d.store.ScheduleSave()
-	d.store.wakeOptimizer()
-	return v, nil
+	s.wakeOptimizer()
+	return p.Vid, nil
+}
+
+// logAndInstall is the back half of a planned commit or merge: append rec
+// to the WAL, then install the planned change under the dataset lock held
+// exclusively, with the cache invalidation rec calls for, inside a span
+// named span. The caller holds ioMu shared and the writer mutex (waited
+// for for writerWait) throughout, so no checkpoint can record a watermark
+// covering rec before it is installed. A failed append installs nothing; a
+// failed install leaves a logged record the in-memory state lacks, which
+// installFailed records.
+func (d *Dataset) logAndInstall(ctx context.Context, span string, writerWait time.Duration, rec *wal.Record, apply func(context.Context) error) error {
+	s := d.store
+	if err := s.logMutationCtx(ctx, rec); err != nil {
+		return err
+	}
+	if s.loggedHook != nil {
+		s.loggedHook()
+	}
+	d.lockInstall(writerWait)
+	ictx, sp := obs.StartSpan(ctx, span)
+	err := apply(ictx)
+	s.invalidateCache(rec)
+	sp.End()
+	d.mu.Unlock()
+	if err != nil {
+		return s.installFailed(rec, err)
+	}
+	s.ScheduleSave()
+	return nil
 }
 
 // CommitWithSchema commits rows under a (possibly changed) schema,
@@ -793,7 +878,9 @@ func (d *Dataset) CommitWithSchema(cols []Column, rows []Row, parents []VersionI
 }
 
 // CommitWithSchemaCtx is CommitWithSchema with trace propagation (see
-// CommitCtx).
+// CommitCtx). Schema evolution changes the dataset before the commit can be
+// planned, so a schema commit keeps one exclusive section: evolve, commit,
+// invalidate, append.
 func (d *Dataset) CommitWithSchemaCtx(ctx context.Context, cols []Column, rows []Row, parents []VersionID, msg string) (VersionID, error) {
 	if err := d.store.writable(); err != nil {
 		return 0, err
@@ -801,24 +888,24 @@ func (d *Dataset) CommitWithSchemaCtx(ctx context.Context, cols []Column, rows [
 	d.store.ioMu.RLock()
 	defer d.store.ioMu.RUnlock()
 	d.lock()
-	defer d.mu.Unlock()
+	defer d.unlock()
 	if err := d.aliveLocked(); err != nil {
 		return 0, err
 	}
-	v, err := d.cvd.CommitWithSchemaCtx(ctx, cols, rows, parents, msg)
+	p, err := d.cvd.CommitWithSchemaCtx(ctx, cols, rows, parents, msg)
 	if err != nil {
 		return 0, err
 	}
 	// A schema change alters how every version materializes (an added
-	// column reads as NULL), so everything goes; before WAL append, see Commit.
-	rec := d.commitRecord(wal.TypeCommitSchema, cols, rows, parents, msg, v)
+	// column reads as NULL), so everything goes.
+	rec := d.commitRecord(wal.TypeCommitSchema, cols, rows, p)
 	d.store.invalidateCache(rec)
 	if err := d.store.logMutationCtx(ctx, rec); err != nil {
-		return v, err
+		return p.Vid, err
 	}
 	d.store.ScheduleSave()
 	d.store.wakeOptimizer()
-	return v, nil
+	return p.Vid, nil
 }
 
 // Checkout materializes one or more versions as rows; with several versions
@@ -959,7 +1046,7 @@ func (d *Dataset) CommitTable(table, msg string) (VersionID, error) {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
 	d.lock()
-	defer d.mu.Unlock()
+	defer d.unlock()
 	if err := d.aliveLocked(); err != nil {
 		return 0, err
 	}
@@ -992,16 +1079,12 @@ func (d *Dataset) CommitTable(table, msg string) (VersionID, error) {
 	if err != nil {
 		return 0, err
 	}
-	// A staged table may carry a new schema (see CommitWithSchema); before
-	// WAL append, see Commit.
+	// A staged table may carry a new schema (see CommitWithSchema).
 	s.invalidateCache(&wal.Record{Type: wal.TypeCommitTable, Dataset: d.cvd.Name()})
 	if staged != nil {
 		if info, ierr := d.cvd.Info(v); ierr == nil {
 			staged.TimeNanos = info.CommitTime.UnixNano()
-			staged.Parents = make([]int64, len(info.Parents))
-			for i, pv := range info.Parents {
-				staged.Parents[i] = int64(pv)
-			}
+			staged.Parents = vidsToInt64(info.Parents)
 		}
 		staged.Version = int64(v)
 		if set, serr := d.cvd.RlistSet(v); serr == nil {

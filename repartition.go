@@ -98,7 +98,8 @@ func (d *Dataset) MaintainPartitions(gammaFactor, mu float64) (*MaintenanceResul
 // without batches (a maintenance check within tolerance) only refreshes the
 // online placement parameters. migrateMu serializes the dataset's migrations:
 // a second plan would have been computed against a layout the first is still
-// rewriting. Lock order, per batch: migrateMu → ioMu (shared) → dataset lock.
+// rewriting. Lock order, per batch: migrateMu → ioMu (shared) → writer mutex
+// → dataset lock.
 func (d *Dataset) repartition(reason string, stop <-chan struct{}, plan func(*core.CVD) (*core.RepartitionPlan, error)) (*MigrationReport, error) {
 	s := d.store
 	if err := s.writable(); err != nil {
@@ -145,7 +146,7 @@ func (d *Dataset) repartition(reason string, stop <-chan struct{}, plan func(*co
 	d.lock()
 	d.cvd.CompleteRepartition(p)
 	status, _ := d.cvd.PartitionStatus()
-	d.mu.Unlock()
+	d.unlock()
 	total := time.Since(t0)
 	if len(p.Batches) > 0 {
 		stats.PartitionMigrations.Add(1)
@@ -177,7 +178,7 @@ func (d *Dataset) applyBatch(ctx context.Context, b core.PartitionBatch) (int64,
 	s.ioMu.RLock()
 	defer s.ioMu.RUnlock()
 	d.lock()
-	defer d.mu.Unlock()
+	defer d.unlock()
 	if err := d.aliveLocked(); err != nil {
 		return 0, err
 	}

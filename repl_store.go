@@ -114,7 +114,7 @@ func (s *Store) ApplyReplicated(lsn uint64, rec *wal.Record) error {
 			return fmt.Errorf("orpheusdb: replication apply LSN %d: %w", lsn, err)
 		}
 		d.lock()
-		defer d.mu.Unlock()
+		defer d.unlock()
 	}
 	if err := s.applyRecord(rec); err != nil {
 		return fmt.Errorf("orpheusdb: replication apply LSN %d (%s %s): %w", lsn, rec.Type, rec.Dataset, err)

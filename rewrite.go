@@ -70,7 +70,7 @@ func (s *Store) lockAllDatasets(write bool) func() {
 	return func() {
 		for i := len(locked) - 1; i >= 0; i-- {
 			if write {
-				locked[i].mu.Unlock()
+				locked[i].unlock()
 			} else {
 				locked[i].mu.RUnlock()
 			}

@@ -130,14 +130,22 @@ func (s *Store) WALEnabled() bool { return s.wal != nil }
 // Path returns the store's snapshot file path ("" for in-memory stores).
 func (s *Store) Path() string { return s.path }
 
-// logMutation appends rec to the WAL inside the caller's critical section
-// and advances the engine's applied-LSN watermark. On append failure the
-// mutation is already applied in memory but must not be acknowledged: the
-// error is returned to the caller, the log refuses further appends, and an
-// immediate checkpoint is scheduled so snapshot-based durability takes over.
+// logMutation appends rec to the WAL and advances the engine's applied-LSN
+// watermark. A commit or merge appends before it installs anything, so on
+// failure nothing of it is visible; every other mutator appends inside its
+// critical section after applying, and on failure its change stays in
+// memory but is not acknowledged. Either way the error is returned to the
+// caller, the log refuses further appends, and an immediate checkpoint is
+// scheduled so snapshot-based durability takes over.
 func (s *Store) logMutation(rec *wal.Record) error {
 	if s.wal == nil {
 		return nil
+	}
+	s.saveMu.Lock()
+	stuck := s.installErr
+	s.saveMu.Unlock()
+	if stuck != nil {
+		return fmt.Errorf("orpheusdb: writes refused until restart: %w", stuck)
 	}
 	lsn, err := s.wal.Append(rec)
 	if lsn != 0 {
@@ -157,37 +165,60 @@ func (s *Store) logMutation(rec *wal.Record) error {
 	return nil
 }
 
-// commitRecord builds the WAL record for a just-applied commit on d. The
-// caller holds the dataset lock; rows/cols are the original inputs so replay
-// takes the exact same code path, and the version's membership bitmap rides
-// along so recovery can verify it rebuilt the acknowledged record set.
-func (d *Dataset) commitRecord(typ wal.Type, cols []Column, rows []Row, parents []VersionID, msg string, vid VersionID) *wal.Record {
-	rec := &wal.Record{
-		Type:    typ,
-		Dataset: d.cvd.Name(),
-		Msg:     msg,
-		Cols:    cols,
-		Rows:    rows,
-		Version: int64(vid),
+// installFailed records that rec was logged but could not be installed.
+// The log now holds a record the in-memory state lacks (perhaps half of
+// it), so the store refuses further logged mutations and checkpoints —
+// either would bury the record — until a restart replays it. WALStatus
+// reports the error as the store's append error.
+func (s *Store) installFailed(rec *wal.Record, err error) error {
+	err = fmt.Errorf("orpheusdb: install of logged %s on %s failed: %w", rec.Type, rec.Dataset, err)
+	if s.wal == nil {
+		return err // nothing was logged
 	}
-	rec.Parents = make([]int64, len(parents))
-	for i, p := range parents {
-		rec.Parents[i] = int64(p)
+	s.saveMu.Lock()
+	if s.installErr == nil {
+		s.installErr = err
 	}
-	if info, err := d.cvd.Info(vid); err == nil {
-		rec.TimeNanos = info.CommitTime.UnixNano()
+	if s.walErr == nil {
+		s.walErr = err
 	}
-	if set, err := d.cvd.RlistSet(vid); err == nil {
-		rec.Members = set
+	s.saveMu.Unlock()
+	return err
+}
+
+// commitRecord builds the WAL record of a planned commit on d: rows/cols
+// are the original inputs so replay takes the exact same code path, and the
+// plan's membership bitmap rides along so recovery can verify it rebuilt
+// the acknowledged record set.
+func (d *Dataset) commitRecord(typ wal.Type, cols []Column, rows []Row, p *core.CommitPlan) *wal.Record {
+	return &wal.Record{
+		Type:      typ,
+		Dataset:   d.cvd.Name(),
+		Msg:       p.Message,
+		Cols:      cols,
+		Rows:      rows,
+		Parents:   vidsToInt64(p.Parents),
+		Version:   int64(p.Vid),
+		TimeNanos: p.CommitTime.UnixNano(),
+		Members:   p.Members,
 	}
-	return rec
+}
+
+// vidsToInt64 converts version ids to the WAL record's int64 form.
+func vidsToInt64(vids []VersionID) []int64 {
+	out := make([]int64, len(vids))
+	for i, v := range vids {
+		out[i] = int64(v)
+	}
+	return out
 }
 
 // invalidateCache drops the checkout-cache entries one mutation can change,
 // keyed by the type of the mutation's WAL record. It is the single cache
-// rule: primary mutators call it inside their critical section before the
-// WAL append, and a follower calls it after applying the shipped record, so
-// both drop exactly the same entries.
+// rule: primary mutators call it while they hold the dataset lock
+// exclusively, where their change becomes visible (a commit or merge in its
+// install, after the WAL append), and a follower calls it after applying
+// the shipped record, so both drop exactly the same entries.
 //
 // Committed versions never change. A commit or merge adds a version and
 // leaves every older version's record set as it was, so it drops only the
