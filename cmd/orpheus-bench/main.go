@@ -16,7 +16,6 @@ import (
 	"os"
 	"time"
 
-	"orpheusdb/internal/core"
 	"orpheusdb/internal/experiments"
 )
 
@@ -140,10 +139,10 @@ func printAll(reps []*experiments.Report) {
 
 func table1() error {
 	fmt.Println("== Table 1: SQL translations for checkout and commit ==")
-	for _, kind := range core.AllModelKinds() {
+	for _, kind := range experiments.AllModelKinds() {
 		fmt.Printf("\n[%s]\n", kind)
-		fmt.Println("CHECKOUT:", core.CheckoutSQL(kind, "cvd", "t_prime", 7))
-		fmt.Println("COMMIT:  ", core.CommitSQL(kind, "cvd", "t_prime", 8))
+		fmt.Println("CHECKOUT:", experiments.CheckoutSQL(kind, "cvd", "t_prime", 7))
+		fmt.Println("COMMIT:  ", experiments.CommitSQL(kind, "cvd", "t_prime", 8))
 	}
 	fmt.Println()
 	return nil

@@ -6,7 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"orpheusdb/internal/core"
+	"orpheusdb/internal/experiments"
 )
 
 // runCaptured runs the command in-process with os.Stdout redirected to a
@@ -65,7 +65,7 @@ func TestTable2AndFig3(t *testing.T) {
 			}
 			perModel[row[1]]++
 		}
-		for _, kind := range core.AllModelKinds() {
+		for _, kind := range experiments.AllModelKinds() {
 			if perModel[string(kind)] != len(sciSmall) {
 				t.Errorf("%s: %d points for %s, want one per dataset (%d)\n%s",
 					fig, perModel[string(kind)], kind, len(sciSmall), out)

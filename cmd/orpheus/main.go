@@ -8,7 +8,7 @@
 //
 // Commands:
 //
-//	init -n <cvd> -f <file.csv> [-p pk1,pk2] [-m model]   create a CVD from a CSV file
+//	init -n <cvd> -f <file.csv> [-p pk1,pk2]              create a CVD from a CSV file
 //	checkout <cvd> -v <vid>[,vid...] (-t <table> | -f <file.csv>)
 //	commit (-t <table> | -f <file.csv> -n <cvd>) -m <message>
 //	diff <cvd> -v <v1>,<v2>
@@ -258,14 +258,13 @@ func cmdInit(store *orpheusdb.Store, args []string) error {
 	name := fs.String("n", "", "CVD name")
 	file := fs.String("f", "", "source csv file")
 	pk := fs.String("p", "", "primary key columns, comma separated")
-	model := fs.String("m", string(orpheusdb.SplitByRlist), "data model")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *name == "" || *file == "" {
-		return fmt.Errorf("usage: init -n <cvd> -f <file.csv> [-p pk] [-m model]")
+		return fmt.Errorf("usage: init -n <cvd> -f <file.csv> [-p pk]")
 	}
-	opts := orpheusdb.InitOptions{Model: orpheusdb.ModelKind(*model)}
+	var opts orpheusdb.InitOptions
 	if *pk != "" {
 		opts.PrimaryKey = strings.Split(*pk, ",")
 	}
@@ -611,10 +610,18 @@ func cmdExplain(store *orpheusdb.Store, args []string) error {
 	if err != nil {
 		return err
 	}
-	kind := d.Model()
+	// The CLI is the store's only user, so the unlocked core object is safe.
+	checkout, err := d.CVD().CheckoutSQL("t_prime", vids[0])
+	if err != nil {
+		return err
+	}
+	commit, err := d.CVD().CommitSQL("t_prime", vids[0])
+	if err != nil {
+		return err
+	}
 	fmt.Println("-- checkout translation (Table 1):")
-	fmt.Println(core.CheckoutSQL(kind, d.Name(), "t_prime", vids[0]))
+	fmt.Println(checkout)
 	fmt.Println("-- commit translation (Table 1):")
-	fmt.Println(core.CommitSQL(kind, d.Name(), "t_prime", vids[0]+1))
+	fmt.Println(commit)
 	return nil
 }

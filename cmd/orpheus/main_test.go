@@ -1,9 +1,13 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"testing"
+
+	"orpheusdb"
 )
 
 // run exercises the CLI end to end against a store file in a temp dir.
@@ -69,7 +73,7 @@ func TestCLICSVCheckoutCommit(t *testing.T) {
 func TestCLIOptimize(t *testing.T) {
 	dir := t.TempDir()
 	csv := writeCSV(t, dir, "d.csv", "k:integer\n1\n2\n3\n")
-	if err := cli(t, dir, "init", "-n", "d", "-f", csv, "-m", "partitioned-rlist"); err != nil {
+	if err := cli(t, dir, "init", "-n", "d", "-f", csv); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
@@ -128,7 +132,7 @@ func TestCLIUserScoping(t *testing.T) {
 func TestCLIOptimizeWithTolerance(t *testing.T) {
 	dir := t.TempDir()
 	csv := writeCSV(t, dir, "d.csv", "k:integer\n1\n2\n")
-	if err := cli(t, dir, "init", "-n", "d", "-f", csv, "-m", "partitioned-rlist"); err != nil {
+	if err := cli(t, dir, "init", "-n", "d", "-f", csv); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
@@ -145,5 +149,76 @@ func TestCLIOptimizeWithTolerance(t *testing.T) {
 	// A second tolerance check is a no-op.
 	if err := cli(t, dir, "optimize", "d", "-gamma", "2.0", "-mu", "1.2"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCLIExplainNamesLiveTables: after a repartitioning spreads a dataset
+// over several partitions, every table `explain` names for any version
+// exists in the store.
+func TestCLIExplainNamesLiveTables(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "s.odb")
+	store, err := orpheusdb.OpenStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := store.Init("d", []orpheusdb.Column{{Name: "k", Type: orpheusdb.KindInt}}, orpheusdb.InitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := func(from, n int) []orpheusdb.Row {
+		var out []orpheusdb.Row
+		for k := from; k < from+n; k++ {
+			out = append(out, orpheusdb.Row{orpheusdb.Int(int64(k))})
+		}
+		return out
+	}
+	root, err := d.Commit(rows(0, 20), nil, "root")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two branches sharing nothing with each other or the root.
+	for _, base := range []int{1000, 2000} {
+		parent := root
+		for i := 0; i < 4; i++ {
+			if parent, err = d.Commit(rows(base, 20+i), []orpheusdb.VersionID{parent}, "branch"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, err := d.Optimize(1.5); err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := d.PartitionStatus(); len(st.Partitions) < 2 {
+		t.Fatalf("optimize left %d partitions, want at least 2", len(st.Partitions))
+	}
+	versions := d.Versions()
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	tableRE := regexp.MustCompile(`\bd_\w+`)
+	named := map[string]bool{}
+	for _, v := range versions {
+		out := captureOutput(t, func() error { return cli(t, dir, "explain", "d", "-v", fmt.Sprint(v)) })
+		for _, name := range tableRE.FindAllString(out, -1) {
+			named[name] = true
+		}
+	}
+	store, err = orpheusdb.OpenStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var parts int
+	for name := range named {
+		if !store.DB().HasTable(name) {
+			t.Errorf("explain names %s, which does not exist", name)
+		}
+		if regexp.MustCompile(`^d_part\d+_data$`).MatchString(name) {
+			parts++
+		}
+	}
+	if parts < 2 {
+		t.Fatalf("explain named %d partitions' data tables across %d versions, want at least 2: %v", parts, len(versions), named)
 	}
 }

@@ -197,8 +197,8 @@ func TestConcurrentRawTableSQL(t *testing.T) {
 						return
 					}
 				case 1:
-					// c0_rl_data is the split-by-rlist backing table.
-					if _, err := s.Run("SELECT count(*) FROM c0_rl_data"); err != nil {
+					// c0_part0_data is partition 0's data table.
+					if _, err := s.Run("SELECT count(*) FROM c0_part0_data"); err != nil {
 						t.Errorf("raw select: %v", err)
 						return
 					}

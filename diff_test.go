@@ -4,17 +4,16 @@ import "testing"
 
 // Diff edge cases: identical versions, disjoint versions, diffs across a
 // schema-evolved (AddColumn) boundary, and duplicate vids passed to
-// Checkout. Run against every data model, since Diff's membership algebra
-// pushes record fetches down to whichever model backs the CVD.
+// Checkout. Run under every model name InitOptions accepts.
 
-func diffModels() []ModelKind {
-	return []ModelKind{
-		TablePerVersion, CombinedTable, SplitByVlist, SplitByRlist, DeltaBased, PartitionedRlist,
-	}
+// initModels lists the model names InitOptions accepts: the one the store
+// serves and the legacy default, which starts the same one-partition layout.
+func initModels() []ModelKind {
+	return []ModelKind{PartitionedRlist, "split-by-rlist"}
 }
 
 func TestDiffIdenticalVersions(t *testing.T) {
-	for _, model := range diffModels() {
+	for _, model := range initModels() {
 		t.Run(string(model), func(t *testing.T) {
 			store := NewStore()
 			ds, err := store.Init("d", []Column{{Name: "gene", Type: KindString}},
@@ -53,7 +52,7 @@ func TestDiffIdenticalVersions(t *testing.T) {
 }
 
 func TestDiffDisjointVersions(t *testing.T) {
-	for _, model := range diffModels() {
+	for _, model := range initModels() {
 		t.Run(string(model), func(t *testing.T) {
 			store := NewStore()
 			ds, err := store.Init("d", []Column{{Name: "gene", Type: KindString}},
@@ -84,7 +83,7 @@ func TestDiffDisjointVersions(t *testing.T) {
 }
 
 func TestDiffAcrossSchemaEvolution(t *testing.T) {
-	for _, model := range diffModels() {
+	for _, model := range initModels() {
 		t.Run(string(model), func(t *testing.T) {
 			store := NewStore()
 			ds, err := store.Init("d", []Column{{Name: "gene", Type: KindString}},
@@ -130,7 +129,7 @@ func TestDiffAcrossSchemaEvolution(t *testing.T) {
 }
 
 func TestCheckoutDuplicateVids(t *testing.T) {
-	for _, model := range diffModels() {
+	for _, model := range initModels() {
 		t.Run(string(model), func(t *testing.T) {
 			store := NewStore()
 			ds, err := store.Init("d", []Column{{Name: "gene", Type: KindString}},

@@ -21,9 +21,9 @@ func main() {
 		{Name: "feature_b", Type: orpheusdb.KindInt},
 		{Name: "label", Type: orpheusdb.KindInt},
 	}
-	// The partitioned split-by-rlist model lets `optimize` reorganize data.
+	// Every dataset is partitioned split-by-rlist, so `optimize` can
+	// reorganize it.
 	ds, err := store.Init("samples", cols, orpheusdb.InitOptions{
-		Model:      orpheusdb.PartitionedRlist,
 		PrimaryKey: []string{"sample_id"},
 	})
 	if err != nil {

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"orpheusdb/internal/engine"
@@ -27,8 +29,22 @@ func protRow(p1, p2 string, n, co, ce int64) engine.Row {
 	}
 }
 
-func allModels() []ModelKind {
-	return append(AllModelKinds(), PartitionedRlistModel)
+// initModels lists the model names Init accepts: the one core serves and
+// the legacy default, which starts the same one-partition layout.
+func initModels() []ModelKind {
+	return []ModelKind{PartitionedRlistModel, legacySplitByRlist}
+}
+
+// catalogModel reads the model name the catalog records for a CVD.
+func catalogModel(db *engine.DB, name string) string {
+	var model string
+	db.Table(catalogTable).Scan(func(_ engine.RowID, row engine.Row) bool {
+		if row[0].S == name {
+			model = row[1].S
+		}
+		return true
+	})
+	return model
 }
 
 func sortedRids(rs []vgraph.RecordID) []vgraph.RecordID {
@@ -37,11 +53,12 @@ func sortedRids(rs []vgraph.RecordID) []vgraph.RecordID {
 	return out
 }
 
-// TestModelSemantics runs the paper's Figure 1 scenario through every data
-// model: branch, merge with primary-key precedence, record identity sharing,
-// and diff.
+// TestModelSemantics runs the paper's Figure 1 scenario through a CVD under
+// every model name Init accepts: branch, merge with primary-key precedence,
+// record identity sharing, and diff. The paper layouts' checkouts are
+// checked in internal/experiments.
 func TestModelSemantics(t *testing.T) {
-	for _, kind := range allModels() {
+	for _, kind := range initModels() {
 		t.Run(string(kind), func(t *testing.T) {
 			db := engine.NewDB()
 			c, err := Init(db, "prot", protCols(), InitOptions{
@@ -232,8 +249,15 @@ func TestInitValidation(t *testing.T) {
 	if _, err := Init(db, "d", protCols(), InitOptions{PrimaryKey: []string{"nope"}}); err == nil {
 		t.Fatal("bad pk accepted")
 	}
-	if _, err := Init(db, "d", protCols(), InitOptions{Model: "martian"}); err == nil {
-		t.Fatal("bad model accepted")
+	for _, kind := range []ModelKind{"martian", "a-table-per-version", "split-by-vlist"} {
+		_, err := Init(db, "d", protCols(), InitOptions{Model: kind})
+		if !errors.Is(err, ErrUnservedModel) || !strings.Contains(err.Error(), string(kind)) {
+			t.Fatalf("model %q: err = %v, want ErrUnservedModel naming it", kind, err)
+		}
+	}
+	// The legacy default names the layout every CVD starts in.
+	if _, err := Init(db, "legacy", protCols(), InitOptions{Model: "split-by-rlist"}); err != nil {
+		t.Fatal(err)
 	}
 	if _, err := Init(db, "d", protCols(), InitOptions{}); err != nil {
 		t.Fatal(err)
@@ -241,13 +265,13 @@ func TestInitValidation(t *testing.T) {
 	if _, err := Init(db, "d", protCols(), InitOptions{}); err == nil {
 		t.Fatal("duplicate CVD accepted")
 	}
-	if names := ListCVDs(db); len(names) != 1 || names[0] != "d" {
+	if names := ListCVDs(db); len(names) != 2 || names[0] != "d" || names[1] != "legacy" {
 		t.Fatalf("ListCVDs: %v", names)
 	}
 }
 
 func TestOpenRoundTripAllModels(t *testing.T) {
-	for _, kind := range allModels() {
+	for _, kind := range initModels() {
 		db := engine.NewDB()
 		c, err := Init(db, "d", protCols(), InitOptions{Model: kind, PrimaryKey: []string{"protein1", "protein2"}})
 		if err != nil {
@@ -275,8 +299,8 @@ func TestOpenRoundTripAllModels(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: open: %v", kind, err)
 		}
-		if c2.Model().Kind() != kind {
-			t.Fatalf("%s: model lost", kind)
+		if got := catalogModel(db2, "d"); got != string(PartitionedRlistModel) {
+			t.Fatalf("%s: catalog records model %q", kind, got)
 		}
 		rows, err := c2.Checkout(v2)
 		if err != nil {
@@ -300,7 +324,7 @@ func TestOpenRoundTripAllModels(t *testing.T) {
 }
 
 func TestDropRemovesEverything(t *testing.T) {
-	for _, kind := range allModels() {
+	for _, kind := range initModels() {
 		db := engine.NewDB()
 		c, err := Init(db, "d", protCols(), InitOptions{Model: kind})
 		if err != nil {
@@ -323,11 +347,11 @@ func TestDropRemovesEverything(t *testing.T) {
 	}
 }
 
-// TestRandomHistoriesAgreeWithReference drives every model through random
+// TestRandomHistoriesAgreeWithReference drives every model name through random
 // commit/checkout sequences and compares against a trivial reference that
 // stores full row sets per version.
 func TestRandomHistoriesAgreeWithReference(t *testing.T) {
-	for _, kind := range allModels() {
+	for _, kind := range initModels() {
 		rng := rand.New(rand.NewSource(99))
 		db := engine.NewDB()
 		c, err := Init(db, "d", protCols(), InitOptions{Model: kind, PrimaryKey: []string{"protein1", "protein2"}})
@@ -413,23 +437,35 @@ func TestRandomHistoriesAgreeWithReference(t *testing.T) {
 	}
 }
 
+// TestTranslationsMatchTable1: a checkout translates to Table 1's
+// split-by-rlist join and a commit to its versioning-table insert, both
+// against the partition that holds the version, plus the partition-map row
+// the commit adds. The five paper layouts' strings live in
+// internal/experiments.
 func TestTranslationsMatchTable1(t *testing.T) {
-	co := CheckoutSQL(SplitByRlistModel, "cvd", "tp", 3)
-	want := "SELECT * INTO tp FROM cvd_rl_data, (SELECT unnest(rlist) AS rid_tmp FROM cvd_rl_version WHERE vid = 3) AS tmp WHERE rid = rid_tmp;"
+	c, vids := branchyCVD(t, 12)
+	repartition(t, c, 2.0)
+	v := vids[len(vids)-1]
+	p, _ := c.model.PartitionOf(v)
+	co, err := c.CheckoutSQL("tp", v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("SELECT * INTO tp FROM d_part%d_data, (SELECT unnest(rlist) AS rid_tmp FROM d_part%d_version WHERE vid = %d) AS tmp WHERE rid = rid_tmp;", p, p, v)
 	if co != want {
-		t.Fatalf("rlist checkout SQL:\n%s\nwant:\n%s", co, want)
+		t.Fatalf("checkout SQL:\n%s\nwant:\n%s", co, want)
 	}
-	cm := CommitSQL(CombinedTableModel, "cvd", "tp", 4)
-	if cm != "UPDATE cvd_combined SET vlist = vlist + 4 WHERE rid IN (SELECT rid FROM tp);" {
-		t.Fatalf("combined commit SQL: %s", cm)
+	cm, err := c.CommitSQL("tp", v)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, kind := range allModels() {
-		if CheckoutSQL(kind, "c", "t", 1) == "" || CommitSQL(kind, "c", "t", 2) == "" {
-			t.Fatalf("%s: empty translation", kind)
-		}
+	next := c.LatestVersion() + 1
+	want = fmt.Sprintf("INSERT INTO d_part%d_version VALUES (%d, ARRAY[SELECT rid FROM tp]);\nINSERT INTO d__partmap VALUES (%d, %d);", p, next, next, p)
+	if cm != want {
+		t.Fatalf("commit SQL:\n%s\nwant:\n%s", cm, want)
 	}
-	if CheckoutSQL("nope", "c", "t", 1) != "" {
-		t.Fatal("unknown model should yield empty translation")
+	if _, err := c.CheckoutSQL("tp", 999); err == nil {
+		t.Fatal("translation of an unknown version accepted")
 	}
 }
 
@@ -446,10 +482,10 @@ func TestHashRowDistinguishesRows(t *testing.T) {
 }
 
 func TestCheckoutUnderAllJoinMethods(t *testing.T) {
-	// The split models honor the session join_method setting (Appendix
-	// D.1); results must be identical across hash, merge, and
-	// index-nested-loop joins.
-	for _, kind := range []ModelKind{SplitByVlistModel, SplitByRlistModel, PartitionedRlistModel} {
+	// Checkout honors the session join_method setting (Appendix D.1);
+	// results must be identical across hash, merge, and index-nested-loop
+	// joins.
+	for _, kind := range initModels() {
 		db := engine.NewDB()
 		c, err := Init(db, "d", protCols(), InitOptions{Model: kind})
 		if err != nil {

@@ -15,13 +15,13 @@ import (
 )
 
 // CVD is a collaborative versioned dataset: one relation plus many versions
-// of it, stored in the backing database under one of the Section 3 data
-// models, with version metadata, record identity, and schema history managed
-// by the middleware.
+// of it, stored in the backing database as partitioned split-by-rlist
+// (Section 4), with version metadata, record identity, and schema history
+// managed by the middleware.
 type CVD struct {
 	db    *engine.DB
 	name  string
-	model DataModel
+	model *partitionedRlist
 	// pk names the relation's primary-key attributes (may be empty). The
 	// key holds within any single version, not across versions.
 	pk []string
@@ -86,8 +86,9 @@ func ListCVDs(db *engine.DB) []string {
 
 // InitOptions configures CVD creation.
 type InitOptions struct {
-	// Model selects the data model (default split-by-rlist, the paper's
-	// choice).
+	// Model may be empty, PartitionedRlistModel, or the legacy
+	// "split-by-rlist" (its one-partition case, which a new CVD starts as
+	// anyway); any other model is an ErrUnservedModel error.
 	Model ModelKind
 	// PrimaryKey names the relation's key attributes.
 	PrimaryKey []string
@@ -95,8 +96,8 @@ type InitOptions struct {
 
 // Init creates a new CVD with the given data attributes.
 func Init(db *engine.DB, name string, cols []engine.Column, opts InitOptions) (*CVD, error) {
-	if opts.Model == "" {
-		opts.Model = SplitByRlistModel
+	if err := checkServed(name, opts.Model); err != nil {
+		return nil, err
 	}
 	cat, err := ensureCatalog(db)
 	if err != nil {
@@ -119,14 +120,10 @@ func Init(db *engine.DB, name string, cols []engine.Column, opts InitOptions) (*
 			return nil, fmt.Errorf("core: CVD %q: primary key column %q not in schema", name, k)
 		}
 	}
-	model, err := NewDataModel(opts.Model, db, name)
-	if err != nil {
-		return nil, err
-	}
 	c := &CVD{
 		db:    db,
 		name:  name,
-		model: model,
+		model: &partitionedRlist{db: db, cvd: name},
 		pk:    append([]string(nil), opts.PrimaryKey...),
 		vm:    newVersionManager(db, name),
 		rm:    newRecordManager(db, name),
@@ -154,7 +151,7 @@ func Init(db *engine.DB, name string, cols []engine.Column, opts InitOptions) (*
 		c.schema = append(c.schema, id)
 		c.cols = append(c.cols, col)
 	}
-	if err := model.Init(cols); err != nil {
+	if err := c.model.Init(cols); err != nil {
 		return nil, err
 	}
 	pkList := ""
@@ -166,7 +163,7 @@ func Init(db *engine.DB, name string, cols []engine.Column, opts InitOptions) (*
 	}
 	if _, err := cat.Insert(engine.Row{
 		engine.StringValue(name),
-		engine.StringValue(string(opts.Model)),
+		engine.StringValue(string(PartitionedRlistModel)),
 		engine.StringValue(pkList),
 	}); err != nil {
 		return nil, err
@@ -194,14 +191,13 @@ func Open(db *engine.DB, name string) (*CVD, error) {
 	if !found {
 		return nil, fmt.Errorf("core: no CVD %q", name)
 	}
-	model, err := NewDataModel(ModelKind(modelKind), db, name)
-	if err != nil {
-		return nil, err
+	if ModelKind(modelKind) != PartitionedRlistModel {
+		return nil, unservedModel(name, modelKind)
 	}
 	c := &CVD{
 		db:    db,
 		name:  name,
-		model: model,
+		model: &partitionedRlist{db: db, cvd: name},
 		vm:    newVersionManager(db, name),
 		rm:    newRecordManager(db, name),
 		am:    newAttrManager(db, name),
@@ -246,36 +242,14 @@ func Open(db *engine.DB, name string) (*CVD, error) {
 			c.cols = append(c.cols, engine.Column{Name: a.Name, Type: a.Type})
 		}
 	}
-	if err := c.reloadModelState(); err != nil {
+	if err := c.model.reload(c.cols); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
-// reloadModelState rebuilds model-internal caches that live outside model
-// tables after a database reload.
-func (c *CVD) reloadModelState() error {
-	switch m := c.model.(type) {
-	case *deltaModel:
-		m.rlists = make(map[vgraph.VersionID]*bitmap.Bitmap, len(c.vm.rlists))
-		m.deltaCols = append(dataColumns(c.cols), engine.Column{Name: "tombstone", Type: engine.KindBool})
-		for v, rl := range c.vm.rlists {
-			m.rlists[v] = rl
-		}
-	case *tablePerVersion:
-		m.cols = dataColumns(c.cols)
-		m.versions = append([]vgraph.VersionID(nil), c.vm.order...)
-	case *partitionedRlist:
-		return m.reload(c.cols)
-	}
-	return nil
-}
-
 // Name returns the CVD name.
 func (c *CVD) Name() string { return c.name }
-
-// Model returns the data model in use.
-func (c *CVD) Model() DataModel { return c.model }
 
 // Columns returns the CVD's current data attributes.
 func (c *CVD) Columns() []engine.Column { return c.cols }
@@ -341,23 +315,22 @@ func (c *CVD) Descendants(v vgraph.VersionID) ([]vgraph.VersionID, error) {
 func (c *CVD) StorageBytes() int64 { return c.model.StorageBytes() }
 
 // StorageBreakdown splits the model-owned storage into membership bytes
-// (compressed rlist/vlist bitmaps and their tables) and data bytes, plus the
-// middleware's own rlist table. Models without a separate membership
-// structure report zero membership.
+// (the compressed rlist bitmaps, their tables and the version→partition
+// map) and data bytes, plus the middleware's own rlist table.
 type StorageBreakdown struct {
 	TotalBytes      int64 `json:"totalBytes"`
 	DataBytes       int64 `json:"dataBytes"`
 	MembershipBytes int64 `json:"membershipBytes"`
-	// SystemMembershipBytes is the middleware rlist table (kept for every
-	// model), reported separately from the model's own membership storage.
+	// SystemMembershipBytes is the middleware rlist table, reported
+	// separately from the model's own membership storage.
 	SystemMembershipBytes int64 `json:"systemMembershipBytes"`
 }
 
 // StorageBreakdown reports where the CVD's bytes live.
 func (c *CVD) StorageBreakdown() StorageBreakdown {
-	out := StorageBreakdown{TotalBytes: c.model.StorageBytes()}
-	if ms, ok := c.model.(membershipSized); ok {
-		out.MembershipBytes = ms.MembershipBytes()
+	out := StorageBreakdown{
+		TotalBytes:      c.model.StorageBytes(),
+		MembershipBytes: c.model.MembershipBytes(),
 	}
 	out.DataBytes = out.TotalBytes - out.MembershipBytes
 	if t := c.db.Table(c.vm.rlistsName()); t != nil {
@@ -530,7 +503,7 @@ func (c *CVD) InstallCommit(ctx context.Context, p *CommitPlan) error {
 	}
 	vid := c.vm.allocVersion()
 	_, modelSpan := obs.StartSpan(ctx, "commit.model")
-	err := c.model.Commit(vid, p.Parents, p.all, p.fresh, p.Members)
+	err := c.model.Commit(vid, p.Parents, p.all, p.Members)
 	modelSpan.End()
 	if err != nil {
 		return err
@@ -741,7 +714,7 @@ func (c *CVD) checkoutUncached(ctx context.Context, vids ...vgraph.VersionID) ([
 // standard differencing operation of Section 2.2. The two sides together are
 // the symmetric difference of the versions' rlists, fetched from the data
 // tables in one pass and split by membership in a; neither version is
-// materialized in full on models exposing record fetch.
+// materialized in full.
 func (c *CVD) Diff(a, b vgraph.VersionID) (onlyA, onlyB []engine.Row, err error) {
 	sa, err := c.vm.rlistSet(a)
 	if err != nil {
@@ -751,7 +724,7 @@ func (c *CVD) Diff(a, b vgraph.VersionID) (onlyA, onlyB []engine.Row, err error)
 	if err != nil {
 		return nil, nil, err
 	}
-	recs, err := c.fetchRecords(bitmap.Xor(sa, sb), a, b)
+	recs, err := c.fetchRecords(bitmap.Xor(sa, sb))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -898,7 +871,7 @@ func (c *CVD) multiVersionCheckoutUncached(ctx context.Context, vids []vgraph.Ve
 	}
 	_, fetchSpan := obs.StartSpan(ctx, "record.fetch")
 	defer fetchSpan.End()
-	return c.fetchRows(set, vids...)
+	return c.fetchRows(set)
 }
 
 // AllVersionsCheckout materializes the all-versions view (`FROM CVD name` in
@@ -952,8 +925,8 @@ func (c *CVD) allVersionsUncached(ctx context.Context) ([]engine.Column, []engin
 }
 
 // fetchRows materializes the data rows of a membership set.
-func (c *CVD) fetchRows(set *bitmap.Bitmap, hints ...vgraph.VersionID) ([]engine.Row, error) {
-	recs, err := c.fetchRecords(set, hints...)
+func (c *CVD) fetchRows(set *bitmap.Bitmap) ([]engine.Row, error) {
+	recs, err := c.fetchRecords(set)
 	if err != nil {
 		return nil, err
 	}
@@ -965,45 +938,11 @@ func (c *CVD) fetchRows(set *bitmap.Bitmap, hints ...vgraph.VersionID) ([]engine
 }
 
 // fetchRecords materializes the records of a membership set, rids included.
-// Models exposing record fetch are driven directly; otherwise the hint
-// versions (then every version) are checked out and filtered, subtracting
-// covered records so each version is visited at most once.
-func (c *CVD) fetchRecords(set *bitmap.Bitmap, hints ...vgraph.VersionID) ([]Record, error) {
+func (c *CVD) fetchRecords(set *bitmap.Bitmap) ([]Record, error) {
 	if set.IsEmpty() {
 		return nil, nil
 	}
-	if f, ok := c.model.(recordSetFetcher); ok {
-		return f.FetchRecordSet(set)
-	}
-	if f, ok := c.model.(recordFetcher); ok {
-		return f.FetchRecords(set.ToSlice())
-	}
-	remaining := set
-	var out []Record
-	for _, v := range append(append([]vgraph.VersionID(nil), hints...), c.vm.order...) {
-		if remaining.IsEmpty() {
-			break
-		}
-		vset, err := c.vm.rlistSet(v)
-		if err != nil || !remaining.Intersects(vset) {
-			continue
-		}
-		recs, err := c.model.Checkout(v)
-		if err != nil {
-			return nil, err
-		}
-		for _, rec := range recs {
-			if remaining.Contains(int64(rec.RID)) {
-				out = append(out, rec)
-			}
-		}
-		remaining = bitmap.AndNot(remaining, vset)
-	}
-	if !remaining.IsEmpty() {
-		mn, _ := remaining.Min()
-		return nil, fmt.Errorf("core: %s: record %d not reachable from any version", c.name, mn)
-	}
-	return out, nil
+	return c.model.FetchRecordSet(set)
 }
 
 // Drop removes the CVD: model tables, system tables, and the catalog entry.

@@ -151,7 +151,6 @@ func TestHeatConcurrentRecording(t *testing.T) {
 func TestCVDRecordsHeat(t *testing.T) {
 	db := engine.NewDB()
 	c, err := Init(db, "prot", protCols(), InitOptions{
-		Model:      SplitByRlistModel,
 		PrimaryKey: []string{"protein1", "protein2"},
 	})
 	if err != nil {

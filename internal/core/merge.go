@@ -179,7 +179,7 @@ func (c *CVD) PlanMerge(ctx context.Context, ours, theirs vgraph.VersionID, opts
 		Keyed:  len(pos) > 0,
 		Policy: opts.Policy,
 		Fetch: func(set *bitmap.Bitmap) ([]merge.Record, error) {
-			recs, err := c.fetchRecords(set, base, ours, theirs)
+			recs, err := c.fetchRecords(set)
 			if err != nil {
 				return nil, err
 			}
@@ -224,7 +224,7 @@ func (c *CVD) PlanMerge(ctx context.Context, ours, theirs vgraph.VersionID, opts
 // precisely the merged bitmap.
 func (c *CVD) planMerged(p *MergePlan, members *bitmap.Bitmap, msg string) error {
 	res := p.Result
-	all, err := c.fetchRecords(members, res.Ours, res.Theirs)
+	all, err := c.fetchRecords(members)
 	if err != nil {
 		return err
 	}
@@ -272,7 +272,7 @@ func (c *CVD) InstallMerge(ctx context.Context, p *MergePlan) error {
 	vid := c.vm.allocVersion()
 	_, commitSpan := obs.StartSpan(ctx, "merge.commit")
 	defer commitSpan.End()
-	if err := c.model.Commit(vid, parents, p.all, nil, p.Members); err != nil {
+	if err := c.model.Commit(vid, parents, p.all, p.Members); err != nil {
 		return err
 	}
 	info := &VersionInfo{

@@ -14,7 +14,7 @@ import (
 func branchyCVD(t *testing.T, versions int) (*CVD, []vgraph.VersionID) {
 	t.Helper()
 	db := engine.NewDB()
-	c, err := Init(db, "d", protCols(), InitOptions{Model: PartitionedRlistModel, PrimaryKey: []string{"protein1", "protein2"}})
+	c, err := Init(db, "d", protCols(), InitOptions{PrimaryKey: []string{"protein1", "protein2"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,9 +69,9 @@ func repartition(t *testing.T, c *CVD, gammaFactor float64) (*RepartitionPlan, i
 
 func TestOptimizePartitionsAndPreservesCheckouts(t *testing.T) {
 	c, vids := branchyCVD(t, 40)
-	pm := c.Model().(PartitionedModel)
-	if pm.NumPartitions() != 1 {
-		t.Fatalf("pre-optimize partitions = %d", pm.NumPartitions())
+	pm := c.model
+	if len(pm.partIDs) != 1 {
+		t.Fatalf("pre-optimize partitions = %d", len(pm.partIDs))
 	}
 	// Snapshot all version contents.
 	before := map[vgraph.VersionID]int{}
@@ -86,8 +86,8 @@ func TestOptimizePartitionsAndPreservesCheckouts(t *testing.T) {
 	if res.Groups < 2 {
 		t.Fatalf("optimize produced %d partitions", res.Groups)
 	}
-	if pm.NumPartitions() != res.Groups {
-		t.Fatalf("physical partitions %d != plan %d", pm.NumPartitions(), res.Groups)
+	if len(pm.partIDs) != res.Groups {
+		t.Fatalf("physical partitions %d != plan %d", len(pm.partIDs), res.Groups)
 	}
 	// Every checkout is unchanged.
 	for _, v := range vids {
@@ -100,8 +100,8 @@ func TestOptimizePartitionsAndPreservesCheckouts(t *testing.T) {
 		}
 	}
 	// Storage within budget (in records).
-	if pm.StorageRecords() > res.Gamma {
-		t.Fatalf("S = %d exceeds γ = %d", pm.StorageRecords(), res.Gamma)
+	if pm.storageRecs > res.Gamma {
+		t.Fatalf("S = %d exceeds γ = %d", pm.storageRecs, res.Gamma)
 	}
 	// A completed plan hands its δ* and γ to online placement.
 	if st := pm.PartitionStatus(); st.DeltaStar != res.Delta || st.GammaRecords != res.Gamma {
@@ -116,12 +116,12 @@ func TestOptimizePartitionsAndPreservesCheckouts(t *testing.T) {
 func TestOnlinePlacementAfterOptimize(t *testing.T) {
 	c, vids := branchyCVD(t, 30)
 	repartition(t, c, 1.5)
-	pm := c.Model().(PartitionedModel)
+	pm := c.model
 
 	// With a low δ*, a commit whose overlap with its parent exceeds δ*·|R|
 	// joins the parent's partition (the Section 4.3 rule).
 	pm.SetOnlineParams(0.05, 1<<40)
-	nBefore := pm.NumPartitions()
+	nBefore := len(pm.partIDs)
 	// The mainline tip shares nearly all of |R| with its child.
 	biggest := vids[0]
 	var biggestN int
@@ -150,7 +150,7 @@ func TestOnlinePlacementAfterOptimize(t *testing.T) {
 	if pNew != pParent {
 		t.Fatalf("high-overlap commit went to partition %d, parent in %d", pNew, pParent)
 	}
-	if pm.NumPartitions() != nBefore {
+	if len(pm.partIDs) != nBefore {
 		t.Fatal("partition count changed unexpectedly")
 	}
 	got, err := c.Checkout(v)
@@ -175,23 +175,38 @@ func TestOnlinePlacementAfterOptimize(t *testing.T) {
 	}
 }
 
-func TestOptimizeRequiresPartitionedModel(t *testing.T) {
+// TestOptimizeWorksOnDefaultCVD: a CVD created without naming a model is
+// partitioned from the start, so it repartitions.
+func TestOptimizeWorksOnDefaultCVD(t *testing.T) {
 	db := engine.NewDB()
-	c, err := Init(db, "d", protCols(), InitOptions{Model: SplitByRlistModel})
+	c, err := Init(db, "d", protCols(), InitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Commit([]engine.Row{protRow("A", "B", 1, 2, 3)}, nil, "v1"); err != nil {
+	v1, err := c.Commit([]engine.Row{protRow("A", "B", 1, 2, 3)}, nil, "v1")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.PlanRepartition(2.0, 0); err == nil {
-		t.Fatal("optimize on non-partitioned model accepted")
+	if _, err := c.Commit([]engine.Row{protRow("C", "D", 4, 5, 6)}, []vgraph.VersionID{v1}, "v2"); err != nil {
+		t.Fatal(err)
+	}
+	plan, err := c.PlanRepartition(2.0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.ApplyRepartition(plan); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(c.model.partIDs); got != plan.Groups {
+		t.Fatalf("%d partitions after optimize, plan had %d groups", got, plan.Groups)
 	}
 }
 
+// TestOptimizeEmptyCVD: the repartition planner refuses a CVD without
+// versions.
 func TestOptimizeEmptyCVD(t *testing.T) {
 	db := engine.NewDB()
-	c, err := Init(db, "d", protCols(), InitOptions{Model: PartitionedRlistModel})
+	c, err := Init(db, "d", protCols(), InitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,8 +218,8 @@ func TestOptimizeEmptyCVD(t *testing.T) {
 func TestPartitionedReloadKeepsLayout(t *testing.T) {
 	c, vids := branchyCVD(t, 25)
 	repartition(t, c, 2.0)
-	pm := c.Model().(PartitionedModel)
-	wantParts := pm.NumPartitions()
+	pm := c.model
+	wantParts := len(pm.partIDs)
 
 	path := t.TempDir() + "/s.gob"
 	if err := c.db.Save(path); err != nil {
@@ -218,9 +233,9 @@ func TestPartitionedReloadKeepsLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pm2 := c2.Model().(PartitionedModel)
-	if pm2.NumPartitions() != wantParts {
-		t.Fatalf("partitions after reload = %d, want %d", pm2.NumPartitions(), wantParts)
+	pm2 := c2.model
+	if len(pm2.partIDs) != wantParts {
+		t.Fatalf("partitions after reload = %d, want %d", len(pm2.partIDs), wantParts)
 	}
 	for _, v := range vids {
 		p1, _ := pm.PartitionOf(v)
@@ -236,7 +251,7 @@ func TestPartitionedReloadKeepsLayout(t *testing.T) {
 
 func TestCheckoutCostDropsAfterOptimize(t *testing.T) {
 	c, _ := branchyCVD(t, 50)
-	pm := c.Model().(PartitionedModel)
+	pm := c.model
 	before := pm.CheckoutCost()
 	repartition(t, c, 2.0)
 	after := pm.CheckoutCost()
@@ -269,15 +284,15 @@ func TestOptimizeWeighted(t *testing.T) {
 	}
 	// Hot (recent) versions should sit in partitions no larger than the
 	// average cold partition.
-	pm := c.Model().(PartitionedModel)
+	pm := c.model
 	var hotCost, coldCost, hotN, coldN int64
 	for _, v := range vids {
 		p, _ := pm.PartitionOf(v)
 		if freq[v] > 1 {
-			hotCost += pm.PartitionRecords(p)
+			hotCost += pm.partRecs[p].Cardinality()
 			hotN++
 		} else {
-			coldCost += pm.PartitionRecords(p)
+			coldCost += pm.partRecs[p].Cardinality()
 			coldN++
 		}
 	}
@@ -290,6 +305,9 @@ func TestOptimizeWeighted(t *testing.T) {
 	}
 }
 
+// TestOptimizeWeightedRequiresPartitionedModel: every CVD is partitioned
+// now, so what the weighted planner still requires is a partitioned layout
+// with versions to place; an empty default CVD is refused.
 func TestOptimizeWeightedRequiresPartitionedModel(t *testing.T) {
 	db := engine.NewDB()
 	c, err := Init(db, "w", protCols(), InitOptions{})
@@ -297,7 +315,7 @@ func TestOptimizeWeightedRequiresPartitionedModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := c.PlanRepartitionWeighted(2.0, nil, 0); err == nil {
-		t.Fatal("weighted optimize on plain model accepted")
+		t.Fatal("weighted optimize of empty CVD accepted")
 	}
 }
 
@@ -332,6 +350,9 @@ func TestMaintainPartitions(t *testing.T) {
 	}
 }
 
+// TestMaintainPartitionsRequiresModel: every CVD is partitioned now, so
+// what maintenance still requires is a partitioned layout with versions to
+// place; an empty default CVD is refused.
 func TestMaintainPartitionsRequiresModel(t *testing.T) {
 	db := engine.NewDB()
 	c, err := Init(db, "m", protCols(), InitOptions{})
@@ -339,6 +360,6 @@ func TestMaintainPartitionsRequiresModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := c.PlanMaintenance(2.0, 1.5, 0); err == nil {
-		t.Fatal("maintenance on plain model accepted")
+		t.Fatal("maintenance of empty CVD accepted")
 	}
 }

@@ -505,18 +505,12 @@ type RepartitionPlan struct {
 	Batches []PartitionBatch
 }
 
-// solve is the one way a target layout is chosen: assert the partitioned
-// model, rebuild the version tree, hand it to run together with the storage
-// budget γ = gammaFactor·|R| in records, and plan the batched migration to
-// the grouping that comes back. With mu > 0 it is the periodic check of
+// solve is the one way a target layout is chosen: rebuild the version tree,
+// hand it to run together with the storage budget γ = gammaFactor·|R| in
+// records, and plan the batched migration to the grouping that comes back. With mu > 0 it is the periodic check of
 // Section 4.3: a layout whose cost is within mu times the solver's best gets
 // a plan without batches. Read-only; batchRows is PlanPartitionBatches'.
 func (c *CVD) solve(gammaFactor, mu float64, batchRows int64, run func(t *vgraph.Tree, gamma int64) (*partition.SolveResult, error)) (*RepartitionPlan, error) {
-	pm, ok := c.model.(PartitionedModel)
-	if !ok {
-		return nil, fmt.Errorf("core: %s: repartitioning requires the %s model (have %s)",
-			c.name, PartitionedRlistModel, c.model.Kind())
-	}
 	g, err := c.vm.graph()
 	if err != nil {
 		return nil, err
@@ -536,10 +530,10 @@ func (c *CVD) solve(gammaFactor, mu float64, batchRows int64, run func(t *vgraph
 		Groups:      len(res.Groups),
 		EstStorage:  res.EstStorage,
 		EstCheckout: res.EstCheckout,
-		Cavg:        pm.CheckoutCost(),
+		Cavg:        c.model.CheckoutCost(),
 	}
 	if mu <= 0 || (plan.EstCheckout > 0 && plan.Cavg > mu*plan.EstCheckout) {
-		if plan.Batches, err = pm.PlanPartitionBatches(res.Groups, batchRows); err != nil {
+		if plan.Batches, err = c.model.PlanPartitionBatches(res.Groups, batchRows); err != nil {
 			return nil, err
 		}
 	}
@@ -567,12 +561,7 @@ func (c *CVD) PlanMaintenance(gammaFactor, mu float64, batchRows int64) (*Repart
 
 // ApplyPartitionBatch executes one planned batch against the live layout.
 func (c *CVD) ApplyPartitionBatch(b PartitionBatch) (int64, error) {
-	pm, ok := c.model.(PartitionedModel)
-	if !ok {
-		return 0, fmt.Errorf("core: %s: batch apply requires the %s model (have %s)",
-			c.name, PartitionedRlistModel, c.model.Kind())
-	}
-	return pm.ApplyPartitionBatch(b)
+	return c.model.ApplyPartitionBatch(b)
 }
 
 // CompleteRepartition ends a plan's execution: online placement of later
@@ -580,9 +569,7 @@ func (c *CVD) ApplyPartitionBatch(b PartitionBatch) (int64, error) {
 // reopened store places every commit beside its best parent until the next
 // plan completes.
 func (c *CVD) CompleteRepartition(p *RepartitionPlan) {
-	if pm, ok := c.model.(PartitionedModel); ok {
-		pm.SetOnlineParams(p.Delta, p.Gamma)
-	}
+	c.model.SetOnlineParams(p.Delta, p.Gamma)
 }
 
 // ApplyRepartition executes a whole plan back to back and completes it,
@@ -603,12 +590,12 @@ func (c *CVD) ApplyRepartition(p *RepartitionPlan) (int64, error) {
 	return moved, nil
 }
 
-// PartitionStatus snapshots the partitioned layout; ok is false for CVDs on
-// other data models.
-func (c *CVD) PartitionStatus() (*PartitionStatus, bool) {
-	pm, ok := c.model.(PartitionedModel)
-	if !ok {
-		return nil, false
-	}
-	return pm.PartitionStatus(), true
+// PartitionStatus snapshots the partitioned layout.
+func (c *CVD) PartitionStatus() *PartitionStatus { return c.model.PartitionStatus() }
+
+// WeightedCheckoutCost is the layout's checkout cost Cw = Σ fi·|R(part(vi))| /
+// Σ fi under observed per-version checkout frequencies (Appendix C.2);
+// versions missing from freq weigh 1.
+func (c *CVD) WeightedCheckoutCost(freq map[vgraph.VersionID]int64) float64 {
+	return c.model.WeightedCheckoutCost(freq)
 }

@@ -51,7 +51,7 @@ func sameFingerprint(a, b []string) bool {
 // (all versions checkout-able) and the final contents are unchanged.
 func TestBatchedRepartitionPreservesCheckouts(t *testing.T) {
 	c, vids := branchyCVD(t, 40)
-	pm := c.Model().(PartitionedModel)
+	pm := c.model
 	before := fingerprintAll(t, c, vids)
 	costBefore := pm.CheckoutCost()
 
@@ -90,16 +90,13 @@ func TestBatchedRepartitionPreservesCheckouts(t *testing.T) {
 			t.Fatalf("version %d contents changed across batched migration", v)
 		}
 	}
-	if pm.NumPartitions() != plan.Groups {
-		t.Fatalf("physical partitions %d != planned groups %d", pm.NumPartitions(), plan.Groups)
+	if len(pm.partIDs) != plan.Groups {
+		t.Fatalf("physical partitions %d != planned groups %d", len(pm.partIDs), plan.Groups)
 	}
 	if cost := pm.CheckoutCost(); cost >= costBefore {
 		t.Fatalf("Cavg did not drop: %.0f -> %.0f", costBefore, cost)
 	}
-	st, ok := c.PartitionStatus()
-	if !ok {
-		t.Fatal("partitioned CVD reported no status")
-	}
+	st := c.PartitionStatus()
 	if len(st.Partitions) != plan.Groups {
 		t.Fatalf("status lists %d partitions, want %d", len(st.Partitions), plan.Groups)
 	}
@@ -133,10 +130,10 @@ func TestBatchedRepartitionDeterministic(t *testing.T) {
 			t.Fatalf("c2 batch %d: %v", i, err)
 		}
 	}
-	pm1 := c1.Model().(PartitionedModel)
-	pm2 := c2.Model().(PartitionedModel)
-	if pm1.NumPartitions() != pm2.NumPartitions() {
-		t.Fatalf("partition counts diverged: %d vs %d", pm1.NumPartitions(), pm2.NumPartitions())
+	pm1 := c1.model
+	pm2 := c2.model
+	if len(pm1.partIDs) != len(pm2.partIDs) {
+		t.Fatalf("partition counts diverged: %d vs %d", len(pm1.partIDs), len(pm2.partIDs))
 	}
 	for _, v := range vids {
 		p1, _ := pm1.PartitionOf(v)
@@ -145,8 +142,8 @@ func TestBatchedRepartitionDeterministic(t *testing.T) {
 			t.Fatalf("placement of v%d diverged: %d vs %d", v, p1, p2)
 		}
 	}
-	if pm1.StorageRecords() != pm2.StorageRecords() {
-		t.Fatalf("storage diverged: %d vs %d", pm1.StorageRecords(), pm2.StorageRecords())
+	if pm1.storageRecs != pm2.storageRecs {
+		t.Fatalf("storage diverged: %d vs %d", pm1.storageRecs, pm2.storageRecs)
 	}
 }
 
@@ -189,7 +186,7 @@ func TestBatchedRepartitionUnderCommits(t *testing.T) {
 // groupings.
 func TestPlanPartitionBatchesValidates(t *testing.T) {
 	c, vids := branchyCVD(t, 10)
-	pm := c.Model().(PartitionedModel)
+	pm := c.model
 	if _, err := pm.PlanPartitionBatches([][]vgraph.VersionID{vids[:5]}, 0); err == nil {
 		t.Fatal("plan omitting versions accepted")
 	}
@@ -223,16 +220,17 @@ func TestApplyPartitionBatchErrors(t *testing.T) {
 	if _, err := c.ApplyPartitionBatch(under); err == nil {
 		t.Fatal("under-covering assign accepted")
 	}
-	// Batches on a non-partitioned model refuse.
+	// A CVD created under the legacy default name is a one-partition
+	// partitioned CVD, so it reports a layout and batches apply to it.
 	db := engine.NewDB()
-	plain, err := Init(db, "p", protCols(), InitOptions{Model: SplitByRlistModel})
+	legacy, err := Init(db, "p", protCols(), InitOptions{Model: legacySplitByRlist})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := plain.ApplyPartitionBatch(PartitionBatch{Kind: PartitionBatchDropEmpty}); err == nil {
-		t.Fatal("batch on plain model accepted")
+	if st := legacy.PartitionStatus(); len(st.Partitions) != 1 {
+		t.Fatalf("legacy-default CVD has %d partitions, want 1", len(st.Partitions))
 	}
-	if _, ok := plain.PartitionStatus(); ok {
-		t.Fatal("plain model reported partition status")
+	if _, err := legacy.ApplyPartitionBatch(PartitionBatch{Kind: PartitionBatchDropEmpty}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -2,16 +2,20 @@ package core
 
 import (
 	"fmt"
+	"sort"
 
 	"orpheusdb/internal/bitmap"
 	"orpheusdb/internal/engine"
 	"orpheusdb/internal/vgraph"
 )
 
-// PartitionedRlistModel is the hybrid representation of Section 4: the
-// split-by-rlist layout broken into partitions so a checkout touches only the
-// records of its own partition. It is what the partition optimizer migrates a
-// CVD to.
+// ModelKind names a data model as the CVD catalog records it.
+type ModelKind string
+
+// PartitionedRlistModel is the one data model core serves: the hybrid
+// representation of Section 4, the split-by-rlist layout broken into
+// partitions so a checkout touches only the records of its own partition.
+// Split-by-rlist is its one-partition case, which is where every CVD starts.
 const PartitionedRlistModel ModelKind = "partitioned-rlist"
 
 // partitionedRlist stores one (data, versioning) table pair per partition,
@@ -43,8 +47,6 @@ type partitionedRlist struct {
 	storageRecs  int64 // S = Σ|Rk|
 }
 
-func (m *partitionedRlist) Kind() ModelKind { return PartitionedRlistModel }
-
 func (m *partitionedRlist) dataName(p int) string {
 	return fmt.Sprintf("%s_part%d_data", m.cvd, p)
 }
@@ -58,18 +60,23 @@ func (m *partitionedRlist) Init(cols []engine.Column) error {
 	m.partOf = make(map[vgraph.VersionID]int)
 	m.rlists = make(map[vgraph.VersionID]*bitmap.Bitmap)
 	m.partRecs = make(map[int]*bitmap.Bitmap)
+	if _, err := m.createMap(); err != nil {
+		return err
+	}
+	_, err := m.createPartition()
+	return err
+}
+
+// createMap creates the version→partition map table.
+func (m *partitionedRlist) createMap() (*engine.Table, error) {
 	t, err := m.db.CreateTable(m.mapName(), []engine.Column{
 		{Name: "vid", Type: engine.KindInt},
 		{Name: "pid", Type: engine.KindInt},
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if err := t.SetPrimaryKey("vid"); err != nil {
-		return err
-	}
-	_, err = m.createPartition()
-	return err
+	return t, t.SetPrimaryKey("vid")
 }
 
 // createPartition allocates a new physical partition and returns its id.
@@ -123,20 +130,11 @@ func (m *partitionedRlist) SetOnlineParams(deltaStar float64, gammaRecords int64
 	m.gammaRecords = gammaRecords
 }
 
-// NumPartitions returns the live partition count.
-func (m *partitionedRlist) NumPartitions() int { return len(m.partIDs) }
-
 // PartitionOf returns the physical partition holding a version.
 func (m *partitionedRlist) PartitionOf(v vgraph.VersionID) (int, bool) {
 	p, ok := m.partOf[v]
 	return p, ok
 }
-
-// PartitionRecords returns |Rk| for a physical partition.
-func (m *partitionedRlist) PartitionRecords(p int) int64 { return m.partRecs[p].Cardinality() }
-
-// StorageRecords returns S = Σ|Rk| in records (the partitioning metric).
-func (m *partitionedRlist) StorageRecords() int64 { return m.storageRecs }
 
 // CheckoutCost returns the current Cavg = Σ|Vk||Rk| / n in records.
 func (m *partitionedRlist) CheckoutCost() float64 {
@@ -176,7 +174,10 @@ func (m *partitionedRlist) WeightedCheckoutCost(freq map[vgraph.VersionID]int64)
 	return float64(num) / float64(den)
 }
 
-func (m *partitionedRlist) Commit(vid vgraph.VersionID, parents []vgraph.VersionID, all []Record, fresh []Record, ridSet *bitmap.Bitmap) error {
+// Commit stores version vid. all lists every record in the version (those
+// its partition lacks must carry their data); ridSet is the version's
+// canonical rlist bitmap, shared with the version metadata and never mutated.
+func (m *partitionedRlist) Commit(vid vgraph.VersionID, parents []vgraph.VersionID, all []Record, ridSet *bitmap.Bitmap) error {
 	// Online placement (Section 4.3): join the best parent's partition
 	// unless the overlap is small while storage headroom remains. Overlaps
 	// are bitmap intersection cardinalities against each parent's rlist.
@@ -301,12 +302,28 @@ func (m *partitionedRlist) Checkout(vid vgraph.VersionID) ([]Record, error) {
 	return out, nil
 }
 
-// FetchRecordSet materializes a membership set, probing each partition's data
-// table with the sub-bitmap it covers; records duplicated across partitions
-// are fetched once.
+// FetchRecordSet materializes a membership set — diffs, merges and
+// multi-version scans drive it — without checking out any version.
 func (m *partitionedRlist) FetchRecordSet(set *bitmap.Bitmap) ([]Record, error) {
-	remaining := set
 	out := make([]Record, 0, set.Cardinality())
+	err := m.scanSet(set, func(row engine.Row) { out = append(out, recordFromRow(row)) })
+	return out, err
+}
+
+// fetchRowsAcross clones the data rows of a record set from the current
+// layout. Migration batches use it to stage the rows a target partition is
+// missing.
+func (m *partitionedRlist) fetchRowsAcross(want *bitmap.Bitmap) ([]engine.Row, error) {
+	out := make([]engine.Row, 0, want.Cardinality())
+	err := m.scanSet(want, func(row engine.Row) { out = append(out, engine.CloneRow(row)) })
+	return out, err
+}
+
+// scanSet hands fn the stored (rid, data...) row of every record in set,
+// probing each partition's data table with the sub-bitmap it covers; records
+// duplicated across partitions are visited once.
+func (m *partitionedRlist) scanSet(set *bitmap.Bitmap, fn func(engine.Row)) error {
+	remaining := set
 	for _, p := range m.partIDs {
 		if remaining.IsEmpty() {
 			break
@@ -317,63 +334,22 @@ func (m *partitionedRlist) FetchRecordSet(set *bitmap.Bitmap) ([]Record, error) 
 		}
 		dt, err := m.db.MustTable(m.dataName(p))
 		if err != nil {
-			return nil, err
+			return err
 		}
 		rows, err := engine.JoinRidsSet(dt, 0, sub, m.db.JoinMethodSetting())
 		if err != nil {
-			return nil, err
+			return err
 		}
 		for _, row := range rows {
-			out = append(out, recordFromRow(row))
+			fn(row)
 		}
 		remaining = bitmap.AndNot(remaining, sub)
 	}
 	if !remaining.IsEmpty() {
 		mn, _ := remaining.Min()
-		return nil, fmt.Errorf("core: %s: record %d not found in any partition", m.cvd, mn)
+		return fmt.Errorf("core: %s: record %d not found in any partition", m.cvd, mn)
 	}
-	return out, nil
-}
-
-// FetchRecords materializes the given record ids, joining against each
-// partition that covers part of the set; records duplicated across
-// partitions are fetched once.
-func (m *partitionedRlist) FetchRecords(rids []int64) ([]Record, error) {
-	return m.FetchRecordSet(bitmap.FromSlice(rids))
-}
-
-// fetchRowsAcross clones the data rows of a record set from the current
-// layout, probing every partition that covers part of it. Migration batches
-// use it to stage the rows a target partition is missing.
-func (m *partitionedRlist) fetchRowsAcross(want *bitmap.Bitmap) ([]engine.Row, error) {
-	remaining := want
-	out := make([]engine.Row, 0, want.Cardinality())
-	for _, pid := range m.partIDs {
-		if remaining.IsEmpty() {
-			break
-		}
-		sub := bitmap.And(remaining, m.partRecs[pid])
-		if sub.IsEmpty() {
-			continue
-		}
-		dt, err := m.db.MustTable(m.dataName(pid))
-		if err != nil {
-			return nil, err
-		}
-		rows, err := engine.JoinRidsSet(dt, 0, sub, m.db.JoinMethodSetting())
-		if err != nil {
-			return nil, err
-		}
-		for _, row := range rows {
-			out = append(out, engine.CloneRow(row))
-		}
-		remaining = bitmap.AndNot(remaining, sub)
-	}
-	if !remaining.IsEmpty() {
-		mn, _ := remaining.Min()
-		return nil, fmt.Errorf("core: %s: record %d not found in any partition", m.cvd, mn)
-	}
-	return out, nil
+	return nil
 }
 
 func (m *partitionedRlist) StorageBytes() int64 {
@@ -448,9 +424,134 @@ func (m *partitionedRlist) MembershipBytes() int64 {
 	return n
 }
 
-var (
-	_ DataModel        = (*partitionedRlist)(nil)
-	_ recordFetcher    = (*partitionedRlist)(nil)
-	_ recordSetFetcher = (*partitionedRlist)(nil)
-	_ membershipSized  = (*partitionedRlist)(nil)
-)
+// reload rebuilds the model's in-memory state from its tables after a
+// database reload.
+func (m *partitionedRlist) reload(cols []engine.Column) error {
+	m.cols = dataColumns(cols)
+	m.partOf = make(map[vgraph.VersionID]int)
+	m.rlists = make(map[vgraph.VersionID]*bitmap.Bitmap)
+	m.partRecs = make(map[int]*bitmap.Bitmap)
+	m.partIDs = nil
+	mt, err := m.db.MustTable(m.mapName())
+	if err != nil {
+		return err
+	}
+	mt.Scan(func(_ engine.RowID, row engine.Row) bool {
+		m.partOf[vgraph.VersionID(row[0].I)] = int(row[1].I)
+		return true
+	})
+	seenPart := make(map[int]bool)
+	for _, p := range m.partOf {
+		seenPart[p] = true
+	}
+	// Partition 0 exists even before the first commit.
+	if m.db.HasTable(m.dataName(0)) {
+		seenPart[0] = true
+	}
+	for p := range seenPart {
+		m.partIDs = append(m.partIDs, p)
+	}
+	// Keep the partition walk order stable across reloads: cross-partition
+	// fetches visit partIDs in order, and WAL replay of migration batches must
+	// reproduce the live walk exactly.
+	sort.Ints(m.partIDs)
+	for _, p := range m.partIDs {
+		if p >= m.nextPart {
+			m.nextPart = p + 1
+		}
+		recs := bitmap.New()
+		dt, err := m.db.MustTable(m.dataName(p))
+		if err != nil {
+			return err
+		}
+		dt.Scan(func(_ engine.RowID, row engine.Row) bool {
+			recs.Add(row[0].I)
+			return true
+		})
+		recs.Optimize()
+		m.partRecs[p] = recs
+		m.storageRecs += recs.Cardinality()
+		vt, err := m.db.MustTable(m.versionName(p))
+		if err != nil {
+			return err
+		}
+		vt.Scan(func(_ engine.RowID, row engine.Row) bool {
+			m.rlists[vgraph.VersionID(row[0].I)] = membershipValue(row[1])
+			return true
+		})
+	}
+	m.totalRecords = m.countMaxRid()
+	return nil
+}
+
+// membershipValue views a stored membership cell as a bitmap, widening the
+// int-array payloads written by pre-bitmap snapshots so old stores keep
+// reading correctly (the same fallback versionManager.load applies).
+func membershipValue(v engine.Value) *bitmap.Bitmap {
+	if v.B != nil {
+		return v.B
+	}
+	if v.K == engine.KindIntArray || v.A != nil {
+		return bitmap.FromSlice(v.A)
+	}
+	return bitmap.New()
+}
+
+// dataColumns prefixes the data attributes with the rid column, the layout
+// shared by the data tables of the split models.
+func dataColumns(cols []engine.Column) []engine.Column {
+	out := make([]engine.Column, 0, len(cols)+1)
+	out = append(out, engine.Column{Name: "rid", Type: engine.KindInt})
+	out = append(out, cols...)
+	return out
+}
+
+// ridsOf extracts the record ids of a record list as int64s.
+func ridsOf(recs []Record) []int64 {
+	out := make([]int64, len(recs))
+	for i, r := range recs {
+		out[i] = int64(r.RID)
+	}
+	return out
+}
+
+// rowWithRID builds a storage row (rid, data...).
+func rowWithRID(r Record) engine.Row {
+	row := make(engine.Row, 0, len(r.Data)+1)
+	row = append(row, engine.IntValue(int64(r.RID)))
+	row = append(row, r.Data...)
+	return row
+}
+
+// recordFromRow splits a storage row (rid, data...) back into a Record. The
+// data slice aliases the stored row; callers must not mutate it.
+func recordFromRow(row engine.Row) Record {
+	return Record{RID: vgraph.RecordID(row[0].I), Data: row[1:]}
+}
+
+// CheckoutSQL is the SQL a checkout of vid into table dst translates to:
+// Table 1's split-by-rlist join, against the partition that holds vid.
+func (c *CVD) CheckoutSQL(dst string, vid vgraph.VersionID) (string, error) {
+	p, ok := c.model.PartitionOf(vid)
+	if !ok {
+		return "", fmt.Errorf("core: %s: no version %d", c.name, vid)
+	}
+	m := c.model
+	return fmt.Sprintf(
+		"SELECT * INTO %s FROM %s, (SELECT unnest(rlist) AS rid_tmp FROM %s WHERE vid = %d) AS tmp WHERE rid = rid_tmp;",
+		dst, m.dataName(p), m.versionName(p), vid), nil
+}
+
+// CommitSQL is the SQL committing staged table src as the next version, a
+// child of parent, translates to: Table 1's single versioning-table insert
+// into parent's partition — where the online placement rule puts a child
+// unless it opens a new partition — and the child's partition-map row.
+func (c *CVD) CommitSQL(src string, parent vgraph.VersionID) (string, error) {
+	p, ok := c.model.PartitionOf(parent)
+	if !ok {
+		return "", fmt.Errorf("core: %s: no version %d", c.name, parent)
+	}
+	m, vid := c.model, c.vm.nextV
+	return fmt.Sprintf("INSERT INTO %s VALUES (%d, ARRAY[SELECT rid FROM %s]);\nINSERT INTO %s VALUES (%d, %d);",
+		m.versionName(p), vid, src, m.mapName(), vid, p), nil
+}

@@ -1,9 +1,9 @@
 // Package core implements the OrpheusDB versioning layer: collaborative
-// versioned datasets (CVDs), the five data models of Section 3 (a-table-per-
-// version, combined-table, split-by-vlist, split-by-rlist, delta-based), the
-// record/version/provenance managers, multi-version checkout with primary-key
-// precedence, commit with the no-cross-version-diff rule, diff, and schema
-// evolution. It sits as middleware over the internal/engine database, which —
+// versioned datasets (CVDs) stored under one data model, the partitioned
+// split-by-rlist representation of Section 4 (whose one-partition case is
+// split-by-rlist), the record/version/provenance managers, multi-version
+// checkout with primary-key precedence, commit with the
+// no-cross-version-diff rule, diff, and schema evolution. It sits as middleware over the internal/engine database, which —
 // like PostgreSQL in the paper — is completely unaware of versioning.
 package core
 

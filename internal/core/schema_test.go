@@ -11,7 +11,7 @@ import (
 // cooccurrence to decimal; v3 adds coexpression; the merge v4 carries the
 // union with the more general types.
 func TestSchemaEvolutionPaperExample(t *testing.T) {
-	for _, kind := range allModels() {
+	for _, kind := range initModels() {
 		t.Run(string(kind), func(t *testing.T) {
 			db := engine.NewDB()
 			cols := []engine.Column{

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"orpheusdb/internal/core"
 	"orpheusdb/internal/engine"
 	"orpheusdb/internal/partition"
 )
@@ -54,7 +53,7 @@ func TestFig3Shapes(t *testing.T) {
 		if len(rows) != 5 {
 			t.Fatalf("model rows: %d", len(rows))
 		}
-		byModel := map[core.ModelKind]Fig3Row{}
+		byModel := map[ModelKind]Fig3Row{}
 		for _, r := range rows {
 			byModel[r.Model] = r
 		}
@@ -63,16 +62,16 @@ func TestFig3Shapes(t *testing.T) {
 		}
 		// Figure 3a: a-table-per-version needs several times the storage
 		// of the split models.
-		tpv := byModel[core.TablePerVersionModel]
-		rlist := byModel[core.SplitByRlistModel]
+		tpv := byModel[TablePerVersionModel]
+		rlist := byModel[SplitByRlistModel]
 		if tpv.StorageBytes < 3*rlist.StorageBytes {
 			t.Fatalf("storage: tpv %d vs rlist %d — expected ~10x gap",
 				tpv.StorageBytes, rlist.StorageBytes)
 		}
 		// Figure 3b: split-by-rlist commits faster than combined-table and
 		// split-by-vlist (no per-record array appends, no full scan).
-		combined := byModel[core.CombinedTableModel]
-		vlist := byModel[core.SplitByVlistModel]
+		combined := byModel[CombinedTableModel]
+		vlist := byModel[SplitByVlistModel]
 		switch {
 		case rlist.CommitTime > combined.CommitTime:
 			lastErr = "rlist commit slower than combined: " +

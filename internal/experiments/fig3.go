@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"orpheusdb/internal/benchgen"
-	"orpheusdb/internal/core"
+	"orpheusdb/internal/bitmap"
 	"orpheusdb/internal/engine"
 	"orpheusdb/internal/vgraph"
 )
@@ -37,20 +37,21 @@ func Table2(names []string, scale float64, seed int64) (*Report, []*benchgen.Dat
 // Fig3Row is one (dataset, model) measurement of Figure 3.
 type Fig3Row struct {
 	Dataset      string
-	Model        core.ModelKind
+	Model        ModelKind
 	StorageBytes int64
 	CommitTime   time.Duration
 	CheckoutTime time.Duration
-	LoadTime     time.Duration
 }
 
 // Fig3 reproduces Figure 3: for each dataset and data model, load every
 // version, then measure (a) storage, (b) the time to commit the latest
 // version back as a new version, and (c) the time to check out the latest
-// version.
-func Fig3(names []string, scale float64, seed int64, models []core.ModelKind) ([]Fig3Row, []*Report, error) {
+// version. Each layout is driven directly with the generator's record ids,
+// so (b) times the layout's commit alone, not the middleware's record
+// matching.
+func Fig3(names []string, scale float64, seed int64, models []ModelKind) ([]Fig3Row, []*Report, error) {
 	if len(models) == 0 {
-		models = core.AllModelKinds()
+		models = AllModelKinds()
 	}
 	var rows []Fig3Row
 	for _, name := range names {
@@ -84,23 +85,29 @@ func Fig3(names []string, scale float64, seed int64, models []core.ModelKind) ([
 }
 
 // fig3One loads one dataset into one model and measures the primitives.
-func fig3One(d *benchgen.Dataset, kind core.ModelKind) (*Fig3Row, error) {
-	db := engine.NewDB()
-	cvd, err := LoadDatasetCVD(db, d, kind)
+func fig3One(d *benchgen.Dataset, kind ModelKind) (*Fig3Row, error) {
+	l, err := loadLayout(engine.NewDB(), d, kind)
 	if err != nil {
 		return nil, err
 	}
-	latest := cvd.LatestVersion()
+	latest := d.Commits[len(d.Commits)-1].ID
 
 	start := time.Now()
-	rows, err := cvd.Checkout(latest)
+	recs, err := l.Checkout(latest)
 	if err != nil {
 		return nil, err
 	}
 	checkoutTime := time.Since(start)
 
+	// Commit the checked-out records back unchanged as a child of latest:
+	// every record is already stored, so none is fresh.
+	rids := make([]int64, len(recs))
+	for i, r := range recs {
+		rids[i] = int64(r.RID)
+	}
+	members := bitmap.FromSlice(rids)
 	start = time.Now()
-	if _, err := cvd.Commit(rows, []vgraph.VersionID{latest}, "recommit"); err != nil {
+	if err := l.Commit(latest+1, []vgraph.VersionID{latest}, recs, nil, members); err != nil {
 		return nil, err
 	}
 	commitTime := time.Since(start)
@@ -108,36 +115,8 @@ func fig3One(d *benchgen.Dataset, kind core.ModelKind) (*Fig3Row, error) {
 	return &Fig3Row{
 		Dataset:      d.Config.Name,
 		Model:        kind,
-		StorageBytes: cvd.StorageBytes(),
+		StorageBytes: l.StorageBytes(),
 		CommitTime:   commitTime,
 		CheckoutTime: checkoutTime,
 	}, nil
-}
-
-// LoadDatasetCVD streams every commit of a benchmark dataset into a fresh
-// CVD under the given model.
-func LoadDatasetCVD(db *engine.DB, d *benchgen.Dataset, kind core.ModelKind) (*core.CVD, error) {
-	cols := make([]engine.Column, d.Config.NumAttrs)
-	for i := range cols {
-		cols[i] = engine.Column{Name: fmt.Sprintf("a%d", i), Type: engine.KindInt}
-	}
-	cvd, err := core.Init(db, "bench", cols, core.InitOptions{Model: kind})
-	if err != nil {
-		return nil, err
-	}
-	for _, c := range d.Commits {
-		rows := make([]engine.Row, len(c.Records))
-		for i, rid := range c.Records {
-			attrs := d.RecordRow(rid)
-			row := make(engine.Row, len(attrs))
-			for j, a := range attrs {
-				row[j] = engine.IntValue(a)
-			}
-			rows[i] = row
-		}
-		if _, err := cvd.Commit(rows, c.Parents, ""); err != nil {
-			return nil, err
-		}
-	}
-	return cvd, nil
 }

@@ -1,4 +1,4 @@
-package core
+package experiments
 
 import (
 	"orpheusdb/internal/bitmap"
@@ -16,8 +16,6 @@ type splitByVlist struct {
 	db  *engine.DB
 	cvd string
 }
-
-func (m *splitByVlist) Kind() ModelKind { return SplitByVlistModel }
 
 func (m *splitByVlist) dataName() string    { return m.cvd + "_vl_data" }
 func (m *splitByVlist) versionName() string { return m.cvd + "_vl_version" }
@@ -40,7 +38,7 @@ func (m *splitByVlist) Init(cols []engine.Column) error {
 	return vt.SetPrimaryKey("rid")
 }
 
-func (m *splitByVlist) Commit(vid vgraph.VersionID, _ []vgraph.VersionID, all []Record, fresh []Record, _ *bitmap.Bitmap) error {
+func (m *splitByVlist) Commit(vid vgraph.VersionID, _ []vgraph.VersionID, all, fresh []record, _ *bitmap.Bitmap) error {
 	dt, err := m.db.MustTable(m.dataName())
 	if err != nil {
 		return err
@@ -63,10 +61,9 @@ func (m *splitByVlist) Commit(vid vgraph.VersionID, _ []vgraph.VersionID, all []
 		if freshSet[r.RID] {
 			continue
 		}
-		ids := ix.Lookup(engine.IntValue(int64(r.RID)))
-		for _, id := range ids {
+		for _, id := range ix.Lookup(engine.IntValue(int64(r.RID))) {
 			row := vt.Get(id)
-			vl := membershipValue(row[vlistCol]).Clone()
+			vl := row[vlistCol].B.Clone()
 			vl.Add(int64(vid))
 			nr := engine.CloneRow(row)
 			nr[vlistCol] = engine.BitmapValue(vl)
@@ -90,8 +87,12 @@ func (m *splitByVlist) Commit(vid vgraph.VersionID, _ []vgraph.VersionID, all []
 	return nil
 }
 
-func (m *splitByVlist) Checkout(vid vgraph.VersionID) ([]Record, error) {
+func (m *splitByVlist) Checkout(vid vgraph.VersionID) ([]record, error) {
 	vt, err := m.db.MustTable(m.versionName())
+	if err != nil {
+		return nil, err
+	}
+	dt, err := m.db.MustTable(m.dataName())
 	if err != nil {
 		return nil, err
 	}
@@ -100,77 +101,25 @@ func (m *splitByVlist) Checkout(vid vgraph.VersionID) ([]Record, error) {
 	vlistCol := vt.ColIndex("vlist")
 	var rids []int64
 	vt.Scan(func(_ engine.RowID, row engine.Row) bool {
-		if membershipValue(row[vlistCol]).Contains(int64(vid)) {
+		if row[vlistCol].B.Contains(int64(vid)) {
 			rids = append(rids, row[0].I)
 		}
 		return true
 	})
 	// ...followed by a join with the data table.
-	return m.FetchRecords(rids)
-}
-
-// FetchRecords joins the given record ids against the data table.
-func (m *splitByVlist) FetchRecords(rids []int64) ([]Record, error) {
-	dt, err := m.db.MustTable(m.dataName())
-	if err != nil {
-		return nil, err
-	}
 	rows, err := engine.JoinRids(dt, 0, rids, m.db.JoinMethodSetting())
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Record, len(rows))
-	for i, row := range rows {
-		out[i] = recordFromRow(row)
-	}
-	return out, nil
+	return recordsFromRows(rows), nil
 }
 
 func (m *splitByVlist) StorageBytes() int64 {
 	var n int64
-	if t := m.db.Table(m.dataName()); t != nil {
-		n += t.SizeBytes()
-	}
-	return n + m.MembershipBytes()
-}
-
-// MembershipBytes reports the versioning-table (vlist) footprint.
-func (m *splitByVlist) MembershipBytes() int64 {
-	if t := m.db.Table(m.versionName()); t != nil {
-		return t.SizeBytes()
-	}
-	return 0
-}
-
-func (m *splitByVlist) AddColumn(c engine.Column) error {
-	dt, err := m.db.MustTable(m.dataName())
-	if err != nil {
-		return err
-	}
-	return dt.AddColumn(c)
-}
-
-func (m *splitByVlist) AlterColumnType(name string, k engine.Kind) error {
-	dt, err := m.db.MustTable(m.dataName())
-	if err != nil {
-		return err
-	}
-	return dt.AlterColumnType(name, k)
-}
-
-func (m *splitByVlist) Drop() error {
-	for _, n := range []string{m.dataName(), m.versionName()} {
-		if m.db.HasTable(n) {
-			if err := m.db.DropTable(n); err != nil {
-				return err
-			}
+	for _, name := range []string{m.dataName(), m.versionName()} {
+		if t := m.db.Table(name); t != nil {
+			n += t.SizeBytes()
 		}
 	}
-	return nil
+	return n
 }
-
-var (
-	_ DataModel       = (*splitByVlist)(nil)
-	_ recordFetcher   = (*splitByVlist)(nil)
-	_ membershipSized = (*splitByVlist)(nil)
-)

@@ -1,4 +1,4 @@
-package core
+package experiments
 
 import (
 	"fmt"
@@ -7,12 +7,11 @@ import (
 )
 
 // Table 1 of the paper: the SQL each data model's checkout and commit
-// translate to. The query translator emits these statements; the engine-level
-// implementations in this package execute the equivalent physical plans. The
-// strings are used by tests, the CLI's explain mode, and documentation.
+// translate to. The layouts in this package execute the equivalent physical
+// plans; `orpheus-bench table1` prints the strings.
 
-// CheckoutSQL returns the SQL translation for checking out version vid of the
-// CVD into table dst under the given model.
+// CheckoutSQL returns the SQL translation for checking out version vid of
+// dataset cvd into table dst under the given model.
 func CheckoutSQL(kind ModelKind, cvd, dst string, vid vgraph.VersionID) string {
 	switch kind {
 	case CombinedTableModel:
@@ -25,7 +24,7 @@ func CheckoutSQL(kind ModelKind, cvd, dst string, vid vgraph.VersionID) string {
 				"(SELECT rid AS rid_tmp FROM %s_vl_version WHERE ARRAY[%d] <@ vlist) AS tmp "+
 				"WHERE rid = rid_tmp;",
 			dst, cvd, cvd, vid)
-	case SplitByRlistModel, PartitionedRlistModel:
+	case SplitByRlistModel:
 		return fmt.Sprintf(
 			"SELECT * INTO %s FROM %s_rl_data, "+
 				"(SELECT unnest(rlist) AS rid_tmp FROM %s_rl_version WHERE vid = %d) AS tmp "+
@@ -42,7 +41,7 @@ func CheckoutSQL(kind ModelKind, cvd, dst string, vid vgraph.VersionID) string {
 }
 
 // CommitSQL returns the SQL translation for committing staged table src back
-// into the CVD as version vid under the given model.
+// into dataset cvd as version vid under the given model.
 func CommitSQL(kind ModelKind, cvd, src string, vid vgraph.VersionID) string {
 	switch kind {
 	case CombinedTableModel:
@@ -53,7 +52,7 @@ func CommitSQL(kind ModelKind, cvd, src string, vid vgraph.VersionID) string {
 		return fmt.Sprintf(
 			"UPDATE %s_vl_version SET vlist = vlist + %d WHERE rid IN (SELECT rid FROM %s);",
 			cvd, vid, src)
-	case SplitByRlistModel, PartitionedRlistModel:
+	case SplitByRlistModel:
 		return fmt.Sprintf(
 			"INSERT INTO %s_rl_version VALUES (%d, ARRAY[SELECT rid FROM %s]);",
 			cvd, vid, src)

@@ -9,13 +9,14 @@ import (
 	orpheusdb "orpheusdb"
 )
 
-// seedPartitioned builds a partitioned dataset with a linear commit chain.
+// seedPartitioned builds a dataset with a linear commit chain. It names no
+// model: every dataset is partitioned.
 func seedPartitioned(t *testing.T, store *orpheusdb.Store, name string, versions int) {
 	t.Helper()
 	ds, err := store.Init(name, []orpheusdb.Column{
 		{Name: "k", Type: orpheusdb.KindInt},
 		{Name: "v", Type: orpheusdb.KindInt},
-	}, orpheusdb.InitOptions{Model: orpheusdb.PartitionedRlist, PrimaryKey: []string{"k"}})
+	}, orpheusdb.InitOptions{PrimaryKey: []string{"k"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,15 +92,6 @@ func TestPartitioningEndpoints(t *testing.T) {
 		t.Fatalf("layout still has %d partition(s) after trigger", n)
 	}
 
-	// Non-partitioned datasets refuse with a client error.
-	if _, err := store.Init("plain", []orpheusdb.Column{{Name: "k", Type: orpheusdb.KindInt}},
-		orpheusdb.InitOptions{PrimaryKey: []string{"k"}}); err != nil {
-		t.Fatal(err)
-	}
-	if status, _ := doJSON(t, "GET", ts.URL+"/api/v1/datasets/plain/partitioning", nil); status != http.StatusBadRequest {
-		t.Fatalf("GET partitioning on plain model: status %d, want 400", status)
-	}
-
 	// The stats endpoint mirrors the engine's partition counters.
 	status, body = doJSON(t, "GET", ts.URL+"/api/v1/stats", nil)
 	if status != http.StatusOK {
@@ -107,6 +99,22 @@ func TestPartitioningEndpoints(t *testing.T) {
 	}
 	if n, _ := body["partition_migrations"].(json.Number).Int64(); n != 1 {
 		t.Fatalf("stats partition_migrations = %v, want 1", body["partition_migrations"])
+	}
+
+	// A second default-created dataset: its layout, a manual trigger and an
+	// optimize all answer 200.
+	seedPartitioned(t, store, "plain", 8)
+	for _, req := range []struct {
+		method, path string
+		body         any
+	}{
+		{"GET", "/partitioning", nil},
+		{"POST", "/partitioning", nil},
+		{"POST", "/optimize", map[string]any{"gamma": 2}},
+	} {
+		if status, body := doJSON(t, req.method, ts.URL+"/api/v1/datasets/plain"+req.path, req.body); status != http.StatusOK {
+			t.Fatalf("%s %s on a default dataset: status %d, body %v", req.method, req.path, status, body)
+		}
 	}
 }
 

@@ -447,8 +447,9 @@ func (s *Server) handleListDatasets(w http.ResponseWriter, r *http.Request) {
 		sum, err := s.summarize(name)
 		if err != nil {
 			// A dataset dropped by a concurrent client between List
-			// and summarize just disappears from the listing.
-			if classify(err).Status == http.StatusNotFound {
+			// and summarize just disappears from the listing, as does one
+			// stored under a data model the store no longer serves.
+			if classify(err).Status == http.StatusNotFound || errors.Is(err, orpheusdb.ErrUnservedModel) {
 				continue
 			}
 			writeError(w, err)
@@ -954,11 +955,7 @@ func (s *Server) handlePartitioning(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	status, ok := d.PartitionStatus()
-	if !ok {
-		writeError(w, badRequest(fmt.Sprintf("dataset %q is not on the partitioned model", d.Name())))
-		return
-	}
+	status, _ := d.PartitionStatus()
 	resp := map[string]any{
 		"dataset": d.Name(),
 		"layout":  status,

@@ -409,12 +409,10 @@ func TestMergeKeylessDataset(t *testing.T) {
 	}
 }
 
-// TestMergeAcrossModels runs a conflicted merge on every data model to pin
-// the model-independence of the merge layer.
+// TestMergeAcrossModels runs a conflicted merge under every model name
+// InitOptions accepts.
 func TestMergeAcrossModels(t *testing.T) {
-	for _, model := range []ModelKind{
-		TablePerVersion, CombinedTable, SplitByVlist, SplitByRlist, DeltaBased, PartitionedRlist,
-	} {
+	for _, model := range initModels() {
 		t.Run(string(model), func(t *testing.T) {
 			s := NewStore()
 			d, err := s.Init("m", []Column{

@@ -229,7 +229,7 @@ func (o *PartitionOptimizer) state(name string) *optimizerState {
 
 func (o *PartitionOptimizer) sweepDataset(name string) {
 	d, err := o.store.Dataset(name)
-	if err != nil || d.Model() != PartitionedRlist {
+	if err != nil {
 		return
 	}
 	st := o.state(name)
@@ -255,17 +255,15 @@ func (o *PartitionOptimizer) sweepDataset(name string) {
 		}
 		feeds = append(feeds, feed{v: v, parents: info.Parents, set: set})
 	}
-	status, _ := d.cvd.PartitionStatus()
+	status := d.cvd.PartitionStatus()
 	// Observed access heat: when traffic has been recorded, drift is judged
 	// on the weighted checkout cost (Appendix C.2) instead of the paper's
 	// uniform assumption. The weighted current cost must come from the same
 	// lock acquisition as status, so both describe one layout.
 	weights := d.cvd.Heat().Weights()
 	var weightedCavg float64
-	if weights != nil && status != nil {
-		if pm, ok := d.cvd.Model().(core.PartitionedModel); ok {
-			weightedCavg = pm.WeightedCheckoutCost(weights)
-		}
+	if weights != nil {
+		weightedCavg = d.cvd.WeightedCheckoutCost(weights)
 	}
 	d.mu.RUnlock()
 

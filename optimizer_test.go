@@ -13,14 +13,15 @@ import (
 	"orpheusdb/internal/partition"
 )
 
-// chainStore builds a partitioned dataset whose versions form a growing
-// chain: version i carries i*rowsPer accumulated rows, so the single initial
-// partition's checkout cost drifts far above what LYRESPLIT can achieve.
+// chainStore builds a dataset, named without a model, whose versions form a
+// growing chain: version i carries i*rowsPer accumulated rows, so the single
+// initial partition's checkout cost drifts far above what LYRESPLIT can
+// achieve.
 func chainStore(t *testing.T, name string, versions, rowsPer int) (*Store, *Dataset, []VersionID) {
 	t.Helper()
 	store := NewStore()
 	cols := []Column{{Name: "k", Type: KindInt}, {Name: "v", Type: KindInt}}
-	ds, err := store.Init(name, cols, InitOptions{Model: PartitionedRlist, PrimaryKey: []string{"k"}})
+	ds, err := store.Init(name, cols, InitOptions{PrimaryKey: []string{"k"}})
 	if err != nil {
 		t.Fatal(err)
 	}

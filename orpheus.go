@@ -53,7 +53,7 @@ type (
 	Row = engine.Row
 	// Value is one cell.
 	Value = engine.Value
-	// ModelKind selects a data model.
+	// ModelKind names a data model.
 	ModelKind = core.ModelKind
 	// VersionInfo is version-level metadata.
 	VersionInfo = core.VersionInfo
@@ -77,15 +77,15 @@ const (
 	SetExcept    = core.SetOpExcept
 )
 
-// The data models of Section 3, plus the partitioned hybrid of Section 4.
-const (
-	TablePerVersion  = core.TablePerVersionModel
-	CombinedTable    = core.CombinedTableModel
-	SplitByVlist     = core.SplitByVlistModel
-	SplitByRlist     = core.SplitByRlistModel
-	DeltaBased       = core.DeltaModel
-	PartitionedRlist = core.PartitionedRlistModel
-)
+// PartitionedRlist is the data model every dataset is stored under: the
+// partitioned split-by-rlist representation of Section 4. A dataset starts
+// with one partition, which is the split-by-rlist layout of Section 3.
+const PartitionedRlist = core.PartitionedRlistModel
+
+// ErrUnservedModel marks a dataset, or a request to create one, naming a
+// data model the store does not serve, such as one of the paper's Section 3
+// baselines.
+var ErrUnservedModel = core.ErrUnservedModel
 
 // Value constructors, re-exported.
 var (
@@ -128,6 +128,9 @@ type Store struct {
 	mu       sync.RWMutex
 	user     string
 	datasets map[string]*Dataset
+	// unserved holds, per dataset, the error of a logged init that named a
+	// data model the store no longer serves (see replayRecord).
+	unserved map[string]error
 
 	// ioMu is the save lock. Dataset-scoped writers (commits, optimize)
 	// hold it shared — their tables are guarded by the per-dataset lock,
@@ -203,7 +206,13 @@ type Store struct {
 	repl   Replication
 }
 
-func newStore(db *engine.DB, path string) *Store {
+// newStore wraps a loaded database. Before anything can open a dataset or
+// replay a WAL record, it upgrades legacy split-by-rlist datasets in place
+// (core.UpgradeLegacyLayouts).
+func newStore(db *engine.DB, path string) (*Store, error) {
+	if err := core.UpgradeLegacyLayouts(db); err != nil {
+		return nil, err
+	}
 	c := cache.New(DefaultCacheBudget, db.Stats())
 	// Seed the generation epoch per process so ETag-style version tokens
 	// minted before a restart can never validate against post-restart
@@ -220,12 +229,16 @@ func newStore(db *engine.DB, path string) *Store {
 		obs:       newStoreObs(),
 	}
 	s.registerCollectors()
-	return s
+	return s, nil
 }
 
 // NewStore creates an in-memory store.
 func NewStore() *Store {
-	return newStore(engine.NewDB(), "")
+	s, err := newStore(engine.NewDB(), "")
+	if err != nil {
+		panic(err) // an empty database holds nothing to upgrade
+	}
+	return s
 }
 
 // BackendKind selects the storage engine behind a persisted store.
@@ -307,19 +320,24 @@ func OpenStoreWithOptions(path string, opts StoreOptions) (*Store, error) {
 		if err != nil {
 			return nil, err
 		}
-		return newStore(db, path), nil
+		s, err := newStore(db, path)
+		if err != nil {
+			db.CloseBackend()
+			return nil, err
+		}
+		return s, nil
 	case BackendMemory:
 		if isDisk {
 			return nil, fmt.Errorf("orpheusdb: %s holds a disk-backend store; open with -backend=disk", path)
 		}
 		if !exists {
-			return newStore(engine.NewDB(), path), nil
+			return newStore(engine.NewDB(), path)
 		}
 		db, err := engine.Load(path)
 		if err != nil {
 			return nil, err
 		}
-		return newStore(db, path), nil
+		return newStore(db, path)
 	default:
 		return nil, fmt.Errorf("orpheusdb: unknown backend %q (want memory or disk)", kind)
 	}
@@ -555,7 +573,9 @@ func (s *Store) Users() []string {
 
 // InitOptions configures dataset creation.
 type InitOptions struct {
-	// Model selects the data model; defaults to split-by-rlist.
+	// Model may be empty, PartitionedRlist, or the legacy "split-by-rlist",
+	// all of which create a one-partition PartitionedRlist dataset; any
+	// other model is an ErrUnservedModel error.
 	Model ModelKind
 	// PrimaryKey names the relation's key attributes.
 	PrimaryKey []string
@@ -651,7 +671,7 @@ func (s *Store) Init(name string, cols []Column, opts InitOptions) (*Dataset, er
 	rec := &wal.Record{
 		Type:       wal.TypeInit,
 		Dataset:    name,
-		Model:      string(c.Model().Kind()),
+		Model:      string(PartitionedRlist),
 		Cols:       cols,
 		PrimaryKey: opts.PrimaryKey,
 	}
@@ -661,6 +681,7 @@ func (s *Store) Init(name string, cols []Column, opts InitOptions) (*Dataset, er
 	s.invalidateCache(rec)
 	d := &Dataset{store: s, cvd: c}
 	s.datasets[name] = d
+	delete(s.unserved, name)
 	if err := s.logMutation(rec); err != nil {
 		return nil, err
 	}
@@ -688,6 +709,9 @@ func (s *Store) dataset(name string) (*Dataset, error) {
 	defer s.mu.Unlock()
 	if d, ok := s.datasets[name]; ok {
 		return d, nil
+	}
+	if err := s.unserved[name]; err != nil {
+		return nil, err
 	}
 	c, err := core.Open(s.db, name)
 	if err != nil {
@@ -762,12 +786,9 @@ func (d *Dataset) PrimaryKey() []string {
 	return d.cvd.PrimaryKey()
 }
 
-// Model returns the data model kind in use.
-func (d *Dataset) Model() ModelKind {
-	d.rlock()
-	defer d.mu.RUnlock()
-	return d.cvd.Model().Kind()
-}
+// Model returns the data model the dataset is stored under, which is always
+// PartitionedRlist.
+func (d *Dataset) Model() ModelKind { return PartitionedRlist }
 
 // Versions lists version ids in commit order.
 func (d *Dataset) Versions() []VersionID {

@@ -297,7 +297,7 @@ func TestSearchVersionsAndLastModified(t *testing.T) {
 
 func TestDatasetAccessors(t *testing.T) {
 	_, ds, v1, v2 := geneStore(t)
-	if ds.Name() != "genes" || ds.Model() != SplitByRlist {
+	if ds.Name() != "genes" || ds.Model() != PartitionedRlist {
 		t.Fatal("accessors wrong")
 	}
 	if len(ds.Columns()) != 2 || len(ds.PrimaryKey()) != 1 {
@@ -325,7 +325,7 @@ func TestDatasetAccessors(t *testing.T) {
 func TestOptimizeViaPublicAPI(t *testing.T) {
 	store := NewStore()
 	cols := []Column{{Name: "k", Type: KindInt}, {Name: "v", Type: KindInt}}
-	ds, err := store.Init("p", cols, InitOptions{Model: PartitionedRlist})
+	ds, err := store.Init("p", cols, InitOptions{}) // the default model repartitions
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +356,7 @@ func TestOptimizeViaPublicAPI(t *testing.T) {
 func TestOptimizeWeightedPublicAPI(t *testing.T) {
 	store := NewStore()
 	cols := []Column{{Name: "k", Type: KindInt}}
-	ds, err := store.Init("w", cols, InitOptions{Model: PartitionedRlist})
+	ds, err := store.Init("w", cols, InitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

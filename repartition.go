@@ -56,7 +56,6 @@ type MaintenanceResult struct {
 
 // Optimize runs the partition optimizer (LYRESPLIT) under the storage budget
 // γ = gammaFactor × |R| and migrates the partitioned layout to its answer.
-// The dataset must use the PartitionedRlist model.
 func (d *Dataset) Optimize(gammaFactor float64) (*MigrationReport, error) {
 	return d.repartition("optimize", nil, func(c *core.CVD) (*core.RepartitionPlan, error) {
 		return c.PlanRepartition(gammaFactor, defaultBatchRows)
@@ -145,7 +144,7 @@ func (d *Dataset) repartition(reason string, stop <-chan struct{}, plan func(*co
 	}
 	d.lock()
 	d.cvd.CompleteRepartition(p)
-	status, _ := d.cvd.PartitionStatus()
+	status := d.cvd.PartitionStatus()
 	d.unlock()
 	total := time.Since(t0)
 	if len(p.Batches) > 0 {
@@ -196,10 +195,10 @@ func (d *Dataset) applyBatch(ctx context.Context, b core.PartitionBatch) (int64,
 }
 
 // PartitionStatus snapshots the dataset's partitioned layout (partition
-// sizes, storage amplification, δ*, current average checkout cost). ok is
-// false for datasets on non-partitioned models.
-func (d *Dataset) PartitionStatus() (*core.PartitionStatus, bool) {
+// sizes, storage amplification, δ*, current average checkout cost). Every
+// dataset is partitioned, so ok is always true.
+func (d *Dataset) PartitionStatus() (status *core.PartitionStatus, ok bool) {
 	d.rlock()
 	defer d.mu.RUnlock()
-	return d.cvd.PartitionStatus()
+	return d.cvd.PartitionStatus(), true
 }

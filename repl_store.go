@@ -44,7 +44,7 @@ func NewStoreFromSnapshot(snap *engine.DBSnapshot) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newStore(db, ""), nil
+	return newStore(db, "")
 }
 
 // ReplicationSnapshot captures a snapshot for follower bootstrap. Like Save,

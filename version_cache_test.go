@@ -41,7 +41,7 @@ func commitVals(t *testing.T, ds *Dataset, parents []VersionID, vals map[int64]s
 }
 
 func TestCommitsKeepVersionCacheEntries(t *testing.T) {
-	for _, model := range []ModelKind{TablePerVersion, CombinedTable, SplitByVlist, SplitByRlist, DeltaBased, PartitionedRlist} {
+	for _, model := range initModels() {
 		t.Run(string(model), func(t *testing.T) { testCommitsKeepVersionCacheEntries(t, model) })
 	}
 }

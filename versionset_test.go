@@ -95,9 +95,7 @@ func TestMultiVersionCheckoutAPI(t *testing.T) {
 }
 
 func TestMultiVersionCheckoutAllModels(t *testing.T) {
-	for _, model := range []ModelKind{
-		TablePerVersion, CombinedTable, SplitByVlist, SplitByRlist, DeltaBased, PartitionedRlist,
-	} {
+	for _, model := range initModels() {
 		t.Run(string(model), func(t *testing.T) {
 			store := NewStore()
 			cols := []Column{{Name: "gene", Type: KindString}, {Name: "score", Type: KindInt}}

@@ -1,6 +1,7 @@
 package orpheusdb
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -96,7 +97,7 @@ func (s *Store) EnableWAL(cfg WALConfig) error {
 	}
 	replayed := 0
 	err = l.Replay(base, func(lsn uint64, rec *wal.Record) error {
-		if err := s.applyRecord(rec); err != nil {
+		if err := s.replayRecord(rec); err != nil {
 			return fmt.Errorf("orpheusdb: wal replay LSN %d (%s %s): %w", lsn, rec.Type, rec.Dataset, err)
 		}
 		s.db.SetWalLSN(lsn)
@@ -241,6 +242,34 @@ func (s *Store) invalidateCache(rec *wal.Record) {
 		wal.TypeOptimize, wal.TypeMaintain:
 		s.cache.InvalidateDataset(rec.Dataset)
 	}
+}
+
+// replayRecord is applyRecord for crash recovery, which also reads logs an
+// older version wrote. An init record naming a data model the store no
+// longer serves cannot be replayed: the dataset is set aside, its later
+// records are skipped until a drop, and opening it reports the init error.
+// The store's other datasets replay as usual.
+func (s *Store) replayRecord(rec *wal.Record) error {
+	s.mu.Lock()
+	_, unserved := s.unserved[rec.Dataset]
+	if unserved && rec.Type == wal.TypeDrop {
+		delete(s.unserved, rec.Dataset)
+	}
+	s.mu.Unlock()
+	if unserved && rec.Type != wal.TypeInit {
+		return nil
+	}
+	err := s.applyRecord(rec)
+	if rec.Type == wal.TypeInit && errors.Is(err, core.ErrUnservedModel) {
+		s.mu.Lock()
+		if s.unserved == nil {
+			s.unserved = make(map[string]error)
+		}
+		s.unserved[rec.Dataset] = err
+		s.mu.Unlock()
+		return nil
+	}
+	return err
 }
 
 // applyRecord replays one WAL record against the store. It runs during
