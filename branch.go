@@ -79,7 +79,7 @@ func (d *Dataset) CreateBranch(name string, at VersionID) (*BranchInfo, error) {
 	}); err != nil {
 		return b, err
 	}
-	d.store.ScheduleSave()
+	d.store.scheduleSave()
 	return b, nil
 }
 
@@ -124,7 +124,7 @@ func (d *Dataset) DeleteBranch(name string) error {
 	}); err != nil {
 		return err
 	}
-	d.store.ScheduleSave()
+	d.store.scheduleSave()
 	return nil
 }
 
@@ -296,7 +296,7 @@ func (s *Store) replayMerge(rec *wal.Record) error {
 	cvd.Clock = func() time.Time { return at }
 	defer func() { cvd.Clock = restore }()
 
-	res, err := cvd.Merge(vgraph.VersionID(rec.Parents[0]), vgraph.VersionID(rec.Parents[1]),
+	res, err := cvd.Merge(context.TODO(), vgraph.VersionID(rec.Parents[0]), vgraph.VersionID(rec.Parents[1]),
 		core.MergeOptions{Policy: policy, Message: rec.Msg})
 	if err != nil {
 		return err

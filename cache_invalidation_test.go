@@ -1,6 +1,7 @@
 package orpheusdb
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -135,7 +136,7 @@ func TestCachedCheckoutNeverStale(t *testing.T) {
 			if k < 2 {
 				continue
 			}
-			rows, err := ds.MultiVersionCheckout(
+			rows, err := ds.MultiVersionCheckout(context.Background(),
 				[]VersionID{VersionID(k), VersionID(k - 1)}, []SetOp{SetExcept})
 			if err != nil {
 				report(fmt.Errorf("scan %d EXCEPT %d: %w", k, k-1, err))
@@ -351,7 +352,7 @@ func TestOptimizeKeepsVersionTokens(t *testing.T) {
 	take := func(d *Dataset) map[VersionID]held {
 		out := make(map[VersionID]held, len(vids))
 		for _, v := range vids {
-			_, rows, gen, err := d.CheckoutWithToken(v)
+			_, rows, gen, err := d.CheckoutWithTokenCtx(context.Background(), v)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -37,6 +37,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -573,7 +574,7 @@ func cmdRun(store *orpheusdb.Store, args []string) error {
 	if src == "" {
 		return fmt.Errorf("usage: run -q <sql> | -s <script.sql>")
 	}
-	res, err := store.RunScript(src)
+	res, err := store.RunScript(context.Background(), src)
 	if err != nil {
 		return err
 	}

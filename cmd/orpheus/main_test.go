@@ -158,7 +158,7 @@ func TestCLIOptimizeWithTolerance(t *testing.T) {
 func TestCLIExplainNamesLiveTables(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "s.odb")
-	store, err := orpheusdb.OpenStore(path)
+	store, err := orpheusdb.OpenStoreWithOptions(path, orpheusdb.StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestCLIExplainNamesLiveTables(t *testing.T) {
 			named[name] = true
 		}
 	}
-	store, err = orpheusdb.OpenStore(path)
+	store, err = orpheusdb.OpenStoreWithOptions(path, orpheusdb.StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ import (
 // Replication commands. Both are network-first: a follower owns a store
 // bootstrapped from the primary's snapshot (never a local .odb file), and
 // the router owns no store at all — which is why main.go dispatches them
-// before OpenStore.
+// before OpenStoreWithOptions.
 
 // hasFollowFlag reports whether a serve invocation asked for follower mode
 // (-follow or --follow, with either "-follow url" or "-follow=url" shape).

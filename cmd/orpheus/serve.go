@@ -179,5 +179,5 @@ func cmdServe(store *orpheusdb.Store, args []string) error {
 			return err
 		}
 	}
-	return store.Flush()
+	return nil // main closes the store: checkpoint, WAL, file
 }

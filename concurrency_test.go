@@ -254,7 +254,7 @@ func TestConcurrentSystemTableAccess(t *testing.T) {
 // snapshots without data races.
 func TestConcurrentCommitsWithAsyncSave(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "async.odb")
-	s, err := OpenStore(path)
+	s, err := OpenStoreWithOptions(path, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestConcurrentCommitsWithAsyncSave(t *testing.T) {
 	}
 
 	// The snapshot on disk holds every committed version.
-	re, err := OpenStore(path)
+	re, err := OpenStoreWithOptions(path, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

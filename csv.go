@@ -1,6 +1,7 @@
 package orpheusdb
 
 import (
+	"context"
 	"encoding/csv"
 	"fmt"
 	"os"
@@ -19,7 +20,7 @@ import (
 func (d *Dataset) CheckoutToCSV(path string, vids ...VersionID) error {
 	// One lock acquisition for schema and rows, so a concurrent
 	// schema-evolving commit cannot desynchronize header and data.
-	cols, rows, err := d.CheckoutWithColumns(vids...)
+	cols, rows, _, err := d.CheckoutWithTokenCtx(context.TODO(), vids...)
 	if err != nil {
 		return err
 	}
@@ -74,7 +75,7 @@ func (s *Store) recordProvenance(p core.Provenance) error {
 	if err := core.RecordProvenance(s.db, p); err != nil {
 		return err
 	}
-	s.ScheduleSave()
+	s.scheduleSave()
 	return nil
 }
 
@@ -96,7 +97,7 @@ func (s *Store) releaseProvenance(name string) error {
 	if err := core.ReleaseProvenance(s.db, name); err != nil {
 		return err
 	}
-	s.ScheduleSave()
+	s.scheduleSave()
 	return nil
 }
 
@@ -117,7 +118,7 @@ func (d *Dataset) CommitCSV(path, msg string, parents ...VersionID) (VersionID, 
 	if err != nil {
 		return 0, err
 	}
-	vid, err := d.CommitWithSchema(cols, rows, parents, msg)
+	vid, err := d.CommitWithSchema(context.TODO(), cols, rows, parents, msg)
 	if err != nil {
 		return 0, err
 	}

@@ -1,6 +1,9 @@
 package orpheusdb
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // Diff edge cases: identical versions, disjoint versions, diffs across a
 // schema-evolved (AddColumn) boundary, and duplicate vids passed to
@@ -102,7 +105,7 @@ func TestDiffAcrossSchemaEvolution(t *testing.T) {
 				{Name: "gene", Type: KindString},
 				{Name: "score", Type: KindInt},
 			}
-			v2, err := ds.CommitWithSchema(wide, []Row{
+			v2, err := ds.CommitWithSchema(context.Background(), wide, []Row{
 				{String("a"), Null()},
 				{String("c"), Int(9)},
 			}, []VersionID{v1}, "widen")

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -12,6 +13,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	store := orpheusdb.NewStore()
 	if err := store.CreateUser("alice"); err != nil {
 		log.Fatal(err)
@@ -65,7 +67,7 @@ func main() {
 	// records read NULL for it.
 	carolCols := append(append([]orpheusdb.Column{}, cols...),
 		orpheusdb.Column{Name: "pathway", Type: orpheusdb.KindString})
-	v3, err := ds.CommitWithSchema(carolCols, []orpheusdb.Row{
+	v3, err := ds.CommitWithSchema(ctx, carolCols, []orpheusdb.Row{
 		{orpheusdb.String("brca1"), orpheusdb.String("dna repair"), orpheusdb.Int(90), orpheusdb.String("hr")},
 		{orpheusdb.String("tp53"), orpheusdb.String("tumor suppressor"), orpheusdb.Int(95), orpheusdb.String("apoptosis")},
 		{orpheusdb.String("egfr"), orpheusdb.String("growth signaling"), orpheusdb.Int(80), orpheusdb.String("mapk")},
@@ -82,7 +84,7 @@ func main() {
 		{Name: "confidence", Type: orpheusdb.KindFloat},
 		{Name: "pathway", Type: orpheusdb.KindString},
 	}
-	v4, err := ds.CommitWithSchema(decCols, []orpheusdb.Row{
+	v4, err := ds.CommitWithSchema(ctx, decCols, []orpheusdb.Row{
 		{orpheusdb.String("brca1"), orpheusdb.String("dna repair"), orpheusdb.Float(0.93), orpheusdb.String("hr")},
 		{orpheusdb.String("tp53"), orpheusdb.String("tumor suppressor"), orpheusdb.Float(0.99), orpheusdb.String("apoptosis")},
 	}, []orpheusdb.VersionID{v3}, "rescale confidence to [0,1]")

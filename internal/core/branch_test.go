@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"orpheusdb/internal/engine"
@@ -30,7 +31,7 @@ func commitPairs(t *testing.T, c *CVD, parents []vgraph.VersionID, pairs ...any)
 			engine.StringValue(pairs[i+1].(string)),
 		})
 	}
-	v, err := c.Commit(rows, parents, "c")
+	v, err := c.Commit(context.Background(), rows, parents, "c")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestMergeDisjointRoots(t *testing.T) {
 	_, c := branchCVD(t)
 	v1 := commitPairs(t, c, nil, 1, "a")
 	v2 := commitPairs(t, c, nil, 2, "b") // second root
-	res, err := c.Merge(v1, v2, MergeOptions{Policy: merge.PolicyFail})
+	res, err := c.Merge(context.Background(), v1, v2, MergeOptions{Policy: merge.PolicyFail})
 	if err != nil {
 		t.Fatal(err)
 	}

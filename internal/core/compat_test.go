@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -48,7 +49,7 @@ func TestPreBitmapSnapshotCompat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v1, err := c.Commit([]engine.Row{
+		v1, err := c.Commit(context.Background(), []engine.Row{
 			protRow("A", "B", 1, 2, 3),
 			protRow("C", "D", 4, 5, 6),
 		}, nil, "root")
@@ -74,7 +75,7 @@ func TestPreBitmapSnapshotCompat(t *testing.T) {
 			t.Fatalf("checkout after array rewrite: %d rows, want 2", len(rows))
 		}
 		// Committing on top of the legacy rlists must keep the old membership.
-		v2, err := re.Commit([]engine.Row{
+		v2, err := re.Commit(context.Background(), []engine.Row{
 			protRow("A", "B", 1, 2, 3),
 			protRow("E", "F", 7, 8, 9),
 		}, []vgraph.VersionID{v1}, "child")
@@ -94,7 +95,7 @@ func TestPreBitmapSnapshotCompat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v1, err := c.Commit([]engine.Row{
+		v1, err := c.Commit(context.Background(), []engine.Row{
 			protRow("A", "B", 1, 2, 3),
 			protRow("C", "D", 4, 5, 6),
 		}, nil, "root")
@@ -170,11 +171,11 @@ func TestUpgradeLegacyLayouts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v1, err := c.Commit([]engine.Row{protRow("A", "B", 1, 2, 3), protRow("C", "D", 4, 5, 6)}, nil, "v1")
+		v1, err := c.Commit(context.Background(), []engine.Row{protRow("A", "B", 1, 2, 3), protRow("C", "D", 4, 5, 6)}, nil, "v1")
 		if err != nil {
 			t.Fatal(err)
 		}
-		v2, err := c.Commit([]engine.Row{protRow("A", "B", 1, 2, 3)}, []vgraph.VersionID{v1}, "v2")
+		v2, err := c.Commit(context.Background(), []engine.Row{protRow("A", "B", 1, 2, 3)}, []vgraph.VersionID{v1}, "v2")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -68,7 +69,7 @@ func TestModelSemantics(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			v1, err := c.Commit([]engine.Row{
+			v1, err := c.Commit(context.Background(), []engine.Row{
 				protRow("A", "B", 0, 53, 0),
 				protRow("A", "C", 0, 87, 0),
 				protRow("D", "E", 426, 0, 164),
@@ -76,7 +77,7 @@ func TestModelSemantics(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			v2, err := c.Commit([]engine.Row{
+			v2, err := c.Commit(context.Background(), []engine.Row{
 				protRow("A", "B", 0, 53, 83), // update
 				protRow("A", "C", 0, 87, 0),
 				protRow("D", "E", 426, 0, 164),
@@ -85,7 +86,7 @@ func TestModelSemantics(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			v3, err := c.Commit([]engine.Row{
+			v3, err := c.Commit(context.Background(), []engine.Row{
 				protRow("A", "C", 0, 87, 0), // A-B deleted
 				protRow("D", "E", 426, 0, 164),
 				protRow("H", "I", 225, 0, 73),
@@ -115,7 +116,7 @@ func TestModelSemantics(t *testing.T) {
 					t.Fatal("precedence: v2's A-B should win")
 				}
 			}
-			v4, err := c.Commit(merged, []vgraph.VersionID{v2, v3}, "merge")
+			v4, err := c.Commit(context.Background(), merged, []vgraph.VersionID{v2, v3}, "merge")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -173,15 +174,15 @@ func TestNoCrossVersionDiff(t *testing.T) {
 		t.Fatal(err)
 	}
 	row := protRow("A", "B", 1, 2, 3)
-	v1, err := c.Commit([]engine.Row{row}, nil, "add")
+	v1, err := c.Commit(context.Background(), []engine.Row{row}, nil, "add")
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := c.Commit(nil, []vgraph.VersionID{v1}, "delete")
+	v2, err := c.Commit(context.Background(), nil, []vgraph.VersionID{v1}, "delete")
 	if err != nil {
 		t.Fatal(err)
 	}
-	v3, err := c.Commit([]engine.Row{row}, []vgraph.VersionID{v2}, "re-add")
+	v3, err := c.Commit(context.Background(), []engine.Row{row}, []vgraph.VersionID{v2}, "re-add")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +192,7 @@ func TestNoCrossVersionDiff(t *testing.T) {
 		t.Fatal("re-added record must get a new rid (no cross-version diff)")
 	}
 	// But a record surviving from the direct parent keeps its rid.
-	v4, err := c.Commit([]engine.Row{row}, []vgraph.VersionID{v3}, "keep")
+	v4, err := c.Commit(context.Background(), []engine.Row{row}, []vgraph.VersionID{v3}, "keep")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +208,7 @@ func TestPrimaryKeyEnforcedPerVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = c.Commit([]engine.Row{
+	_, err = c.Commit(context.Background(), []engine.Row{
 		protRow("A", "B", 1, 2, 3),
 		protRow("A", "B", 9, 9, 9),
 	}, nil, "dup")
@@ -215,11 +216,11 @@ func TestPrimaryKeyEnforcedPerVersion(t *testing.T) {
 		t.Fatal("duplicate key within a version accepted")
 	}
 	// Across versions the same key with different payloads is fine.
-	v1, err := c.Commit([]engine.Row{protRow("A", "B", 1, 2, 3)}, nil, "v1")
+	v1, err := c.Commit(context.Background(), []engine.Row{protRow("A", "B", 1, 2, 3)}, nil, "v1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Commit([]engine.Row{protRow("A", "B", 9, 9, 9)}, []vgraph.VersionID{v1}, "v2"); err != nil {
+	if _, err := c.Commit(context.Background(), []engine.Row{protRow("A", "B", 9, 9, 9)}, []vgraph.VersionID{v1}, "v2"); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -230,10 +231,10 @@ func TestCommitValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Commit([]engine.Row{{engine.IntValue(1)}}, nil, "short"); err == nil {
+	if _, err := c.Commit(context.Background(), []engine.Row{{engine.IntValue(1)}}, nil, "short"); err == nil {
 		t.Fatal("short row accepted")
 	}
-	if _, err := c.Commit(nil, []vgraph.VersionID{42}, "bad parent"); err == nil {
+	if _, err := c.Commit(context.Background(), nil, []vgraph.VersionID{42}, "bad parent"); err == nil {
 		t.Fatal("unknown parent accepted")
 	}
 	if _, err := c.Checkout(); err == nil {
@@ -277,11 +278,11 @@ func TestOpenRoundTripAllModels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v1, err := c.Commit([]engine.Row{protRow("A", "B", 1, 2, 3)}, nil, "v1")
+		v1, err := c.Commit(context.Background(), []engine.Row{protRow("A", "B", 1, 2, 3)}, nil, "v1")
 		if err != nil {
 			t.Fatal(err)
 		}
-		v2, err := c.Commit([]engine.Row{protRow("A", "B", 1, 2, 3), protRow("C", "D", 4, 5, 6)},
+		v2, err := c.Commit(context.Background(), []engine.Row{protRow("A", "B", 1, 2, 3), protRow("C", "D", 4, 5, 6)},
 			[]vgraph.VersionID{v1}, "v2")
 		if err != nil {
 			t.Fatal(err)
@@ -310,7 +311,7 @@ func TestOpenRoundTripAllModels(t *testing.T) {
 			t.Fatalf("%s: %d rows", kind, len(rows))
 		}
 		// Committing after reload continues rid/vid allocation correctly.
-		v3, err := c2.Commit([]engine.Row{protRow("E", "F", 7, 8, 9)}, []vgraph.VersionID{v2}, "v3")
+		v3, err := c2.Commit(context.Background(), []engine.Row{protRow("E", "F", 7, 8, 9)}, []vgraph.VersionID{v2}, "v3")
 		if err != nil {
 			t.Fatalf("%s: commit after reload: %v", kind, err)
 		}
@@ -330,7 +331,7 @@ func TestDropRemovesEverything(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.Commit([]engine.Row{protRow("A", "B", 1, 2, 3)}, nil, "v1"); err != nil {
+		if _, err := c.Commit(context.Background(), []engine.Row{protRow("A", "B", 1, 2, 3)}, nil, "v1"); err != nil {
 			t.Fatal(err)
 		}
 		if err := c.Drop(); err != nil {
@@ -374,7 +375,7 @@ func TestRandomHistoriesAgreeWithReference(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			rows = append(rows, mkRow())
 		}
-		v, err := c.Commit(rows, nil, "root")
+		v, err := c.Commit(context.Background(), rows, nil, "root")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -407,7 +408,7 @@ func TestRandomHistoriesAgreeWithReference(t *testing.T) {
 					}
 				}
 			}
-			v, err := c.Commit(cur, []vgraph.VersionID{parent}, "step")
+			v, err := c.Commit(context.Background(), cur, []vgraph.VersionID{parent}, "step")
 			if err != nil {
 				t.Fatalf("%s step %d: %v", kind, step, err)
 			}
@@ -495,11 +496,11 @@ func TestCheckoutUnderAllJoinMethods(t *testing.T) {
 		for i := 0; i < 300; i++ {
 			rows = append(rows, protRow(fmt.Sprintf("P%03d", i), "Q", int64(i), 0, 0))
 		}
-		v1, err := c.Commit(rows, nil, "root")
+		v1, err := c.Commit(context.Background(), rows, nil, "root")
 		if err != nil {
 			t.Fatal(err)
 		}
-		v2, err := c.Commit(rows[:150], []vgraph.VersionID{v1}, "half")
+		v2, err := c.Commit(context.Background(), rows[:150], []vgraph.VersionID{v1}, "half")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"orpheusdb/internal/bitmap"
@@ -67,6 +68,16 @@ func ensureCatalog(db *engine.DB) (*engine.Table, error) {
 		{Name: "model", Type: engine.KindString},
 		{Name: "pk", Type: engine.KindString},
 	})
+}
+
+// catalogRow is a CVD's catalog entry: its name, its data model and its
+// comma-separated primary key.
+func catalogRow(name string, model ModelKind, pk []string) engine.Row {
+	return engine.Row{
+		engine.StringValue(name),
+		engine.StringValue(string(model)),
+		engine.StringValue(strings.Join(pk, ",")),
+	}
 }
 
 // ListCVDs names the CVDs registered in db.
@@ -154,18 +165,7 @@ func Init(db *engine.DB, name string, cols []engine.Column, opts InitOptions) (*
 	if err := c.model.Init(cols); err != nil {
 		return nil, err
 	}
-	pkList := ""
-	for i, k := range opts.PrimaryKey {
-		if i > 0 {
-			pkList += ","
-		}
-		pkList += k
-	}
-	if _, err := cat.Insert(engine.Row{
-		engine.StringValue(name),
-		engine.StringValue(string(PartitionedRlistModel)),
-		engine.StringValue(pkList),
-	}); err != nil {
+	if _, err := cat.Insert(catalogRow(name, PartitionedRlistModel, opts.PrimaryKey)); err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -358,16 +358,11 @@ func (c *CVD) pkPositions() []int {
 // the current schema), derived from the given parents. Per the
 // no-cross-version-diff rule, rows are matched only against the parents'
 // records: unchanged rows keep their rid, anything else becomes a new
-// record. Returns the new version id.
-func (c *CVD) Commit(rows []engine.Row, parents []vgraph.VersionID, msg string) (vgraph.VersionID, error) {
-	return c.CommitCtx(context.Background(), rows, parents, msg)
-}
-
-// CommitCtx is Commit with trace propagation: the phases — record hash
-// matching against the parents, the model write, version metadata — each
-// contribute a span when ctx carries a trace. It is PlanCommit and
-// InstallCommit back to back.
-func (c *CVD) CommitCtx(ctx context.Context, rows []engine.Row, parents []vgraph.VersionID, msg string) (vgraph.VersionID, error) {
+// record. Returns the new version id. The phases — record hash matching
+// against the parents, the model write, version metadata — each contribute
+// a span when ctx carries a trace. It is PlanCommit and InstallCommit back
+// to back.
+func (c *CVD) Commit(ctx context.Context, rows []engine.Row, parents []vgraph.VersionID, msg string) (vgraph.VersionID, error) {
 	p, err := c.PlanCommit(ctx, rows, nil, parents, msg)
 	if err != nil {
 		return 0, err
@@ -813,14 +808,9 @@ func (c *CVD) MembershipSet(vids []vgraph.VersionID, ops []SetOp) (*bitmap.Bitma
 //
 // When a cache is attached it is consulted before bitmap resolution; keys
 // canonicalize commutative chains (pure UNION, pure INTERSECT), so
-// `VERSION 2 UNION 3` and `VERSION 3 UNION 2` share one entry.
-func (c *CVD) MultiVersionCheckout(vids []vgraph.VersionID, ops []SetOp) ([]engine.Row, error) {
-	return c.MultiVersionCheckoutCtx(context.Background(), vids, ops)
-}
-
-// MultiVersionCheckoutCtx is MultiVersionCheckout with trace propagation and
-// hit/miss latency observation, mirroring CheckoutCtx.
-func (c *CVD) MultiVersionCheckoutCtx(ctx context.Context, vids []vgraph.VersionID, ops []SetOp) ([]engine.Row, error) {
+// `VERSION 2 UNION 3` and `VERSION 3 UNION 2` share one entry. Trace spans
+// and hit/miss latency are observed as in CheckoutCtx.
+func (c *CVD) MultiVersionCheckout(ctx context.Context, vids []vgraph.VersionID, ops []SetOp) ([]engine.Row, error) {
 	start := time.Now()
 	if c.cache == nil {
 		rows, err := c.multiVersionCheckoutUncached(ctx, vids, ops)
@@ -877,14 +867,9 @@ func (c *CVD) multiVersionCheckoutUncached(ctx context.Context, vids []vgraph.Ve
 // AllVersionsCheckout materializes the all-versions view (`FROM CVD name` in
 // SQL): a leading vid column followed by the data attributes, one row per
 // (version, record) pair — the "table with versioned records" of Figure 1a,
-// generated on the fly and cached like any other checkout.
-func (c *CVD) AllVersionsCheckout() ([]engine.Column, []engine.Row, error) {
-	return c.AllVersionsCheckoutCtx(context.Background())
-}
-
-// AllVersionsCheckoutCtx is AllVersionsCheckout with trace propagation and
-// hit/miss latency observation.
-func (c *CVD) AllVersionsCheckoutCtx(ctx context.Context) ([]engine.Column, []engine.Row, error) {
+// generated on the fly and cached like any other checkout, with trace spans
+// and hit/miss latency observed as in CheckoutCtx.
+func (c *CVD) AllVersionsCheckout(ctx context.Context) ([]engine.Column, []engine.Row, error) {
 	start := time.Now()
 	if c.cache == nil {
 		cols, rows, err := c.allVersionsUncached(ctx)
@@ -950,31 +935,5 @@ func (c *CVD) Drop() error {
 	if err := c.model.Drop(); err != nil {
 		return err
 	}
-	if err := c.vm.drop(); err != nil {
-		return err
-	}
-	if err := c.rm.drop(); err != nil {
-		return err
-	}
-	if err := c.am.drop(); err != nil {
-		return err
-	}
-	if err := c.bm.drop(); err != nil {
-		return err
-	}
-	cat := c.db.Table(catalogTable)
-	if cat == nil {
-		return nil
-	}
-	var drop []engine.RowID
-	cat.Scan(func(id engine.RowID, row engine.Row) bool {
-		if row[0].S == c.name {
-			drop = append(drop, id)
-		}
-		return true
-	})
-	for _, id := range drop {
-		cat.Delete(id)
-	}
-	return nil
+	return DropSetAside(c.db, c.name)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -159,14 +160,14 @@ func TestCVDRecordsHeat(t *testing.T) {
 	h := NewHeat()
 	c.SetHeat(h)
 	c.SetCache(cache.New(1<<20, db.Stats()))
-	v1, err := c.Commit([]engine.Row{
+	v1, err := c.Commit(context.Background(), []engine.Row{
 		protRow("A", "B", 0, 53, 0),
 		protRow("A", "C", 0, 87, 0),
 	}, nil, "v1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := c.Commit([]engine.Row{
+	v2, err := c.Commit(context.Background(), []engine.Row{
 		protRow("A", "B", 0, 53, 0),
 		protRow("D", "E", 426, 0, 164),
 	}, []vgraph.VersionID{v1}, "v2")

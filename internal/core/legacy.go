@@ -25,6 +25,51 @@ func unservedModel(cvd, model string) error {
 	return fmt.Errorf("core: CVD %q: %w: %q (only %s is)", cvd, ErrUnservedModel, model, PartitionedRlistModel)
 }
 
+// SetAside registers a CVD whose logged init named a data model core does
+// not serve: a catalog row naming that model and no tables. Like a CVD a
+// snapshot holds under such a model, it does not open (ErrUnservedModel),
+// ListCVDs names it, and DropSetAside removes it.
+func SetAside(db *engine.DB, name string, model ModelKind, pk []string) error {
+	cat, err := ensureCatalog(db)
+	if err != nil {
+		return err
+	}
+	_, err = cat.Insert(catalogRow(name, model, pk))
+	return err
+}
+
+// DropSetAside drops a CVD that does not open because its catalog row names
+// a data model core does not serve: it removes the version, record,
+// attribute and branch tables every model shares, then the row. A paper
+// model's own tables are not core's to name and stay. CVD.Drop ends with it.
+func DropSetAside(db *engine.DB, name string) error {
+	for _, drop := range []func() error{
+		newVersionManager(db, name).drop,
+		newRecordManager(db, name).drop,
+		newAttrManager(db, name).drop,
+		newBranchManager(db, name).drop,
+	} {
+		if err := drop(); err != nil {
+			return err
+		}
+	}
+	cat := db.Table(catalogTable)
+	if cat == nil {
+		return nil
+	}
+	var drop []engine.RowID
+	cat.Scan(func(id engine.RowID, row engine.Row) bool {
+		if row[0].S == name {
+			drop = append(drop, id)
+		}
+		return true
+	})
+	for _, id := range drop {
+		cat.Delete(id)
+	}
+	return nil
+}
+
 // checkServed accepts the model names Init takes: empty, partitioned-rlist,
 // or the legacy split-by-rlist, which is the layout a new CVD starts in.
 func checkServed(cvd string, kind ModelKind) error {

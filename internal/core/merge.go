@@ -74,16 +74,11 @@ func (e *ConflictError) Error() string {
 // Merge three-way-merges theirs into ours. Up-to-date and fast-forward cases
 // produce no new version; otherwise the merged record set is committed with
 // parents (ours, theirs). With PolicyFail and conflicts present the error is
-// a *ConflictError carrying the report.
-func (c *CVD) Merge(ours, theirs vgraph.VersionID, opts MergeOptions) (*MergeResult, error) {
-	return c.MergeCtx(context.Background(), ours, theirs, opts)
-}
-
-// MergeCtx is Merge with trace propagation: LCA discovery, the bitmap merge
+// a *ConflictError carrying the report. LCA discovery, the bitmap merge
 // formula (including record fetch and conflict detection), and the merge
 // commit each contribute a span when ctx carries a trace. It is PlanMerge
 // and InstallMerge back to back.
-func (c *CVD) MergeCtx(ctx context.Context, ours, theirs vgraph.VersionID, opts MergeOptions) (*MergeResult, error) {
+func (c *CVD) Merge(ctx context.Context, ours, theirs vgraph.VersionID, opts MergeOptions) (*MergeResult, error) {
 	p, err := c.PlanMerge(ctx, ours, theirs, opts)
 	if err != nil {
 		if p != nil {

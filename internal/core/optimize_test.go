@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -28,7 +29,7 @@ func branchyCVD(t *testing.T, versions int) (*CVD, []vgraph.VersionID) {
 		}
 	}
 	add(20)
-	v, err := c.Commit(rows, nil, "root")
+	v, err := c.Commit(context.Background(), rows, nil, "root")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func branchyCVD(t *testing.T, versions int) (*CVD, []vgraph.VersionID) {
 			}
 		}
 		add(5)
-		v, err := c.Commit(rows, []vgraph.VersionID{parent}, "step")
+		v, err := c.Commit(context.Background(), rows, []vgraph.VersionID{parent}, "step")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +139,7 @@ func TestOnlinePlacementAfterOptimize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := c.Commit(rows, []vgraph.VersionID{biggest}, "online-join")
+	v, err := c.Commit(context.Background(), rows, []vgraph.VersionID{biggest}, "online-join")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func TestOnlinePlacementAfterOptimize(t *testing.T) {
 	// own partition.
 	pm.SetOnlineParams(0.99, 1<<40)
 	small := []engine.Row{protRow("Z", "Z", 1, 1, 1)}
-	v2, err := c.Commit(small, []vgraph.VersionID{v}, "online-split")
+	v2, err := c.Commit(context.Background(), small, []vgraph.VersionID{v}, "online-split")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,11 +184,11 @@ func TestOptimizeWorksOnDefaultCVD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1, err := c.Commit([]engine.Row{protRow("A", "B", 1, 2, 3)}, nil, "v1")
+	v1, err := c.Commit(context.Background(), []engine.Row{protRow("A", "B", 1, 2, 3)}, nil, "v1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Commit([]engine.Row{protRow("C", "D", 4, 5, 6)}, []vgraph.VersionID{v1}, "v2"); err != nil {
+	if _, err := c.Commit(context.Background(), []engine.Row{protRow("C", "D", 4, 5, 6)}, []vgraph.VersionID{v1}, "v2"); err != nil {
 		t.Fatal(err)
 	}
 	plan, err := c.PlanRepartition(2.0, 0)

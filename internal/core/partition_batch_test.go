@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"testing"
@@ -165,7 +166,7 @@ func TestBatchedRepartitionUnderCommits(t *testing.T) {
 				t.Fatal(err)
 			}
 			rows = append(rows, protRow(fmt.Sprintf("MID%d", i), "Q", 1, 0, 0))
-			v, err := c.Commit(rows, []vgraph.VersionID{parent}, "mid-migration")
+			v, err := c.Commit(context.Background(), rows, []vgraph.VersionID{parent}, "mid-migration")
 			if err != nil {
 				t.Fatal(err)
 			}

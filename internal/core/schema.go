@@ -75,21 +75,12 @@ func (c *CVD) loadSchema() (bool, error) {
 // CommitWithSchema commits rows whose schema (cols) may differ from the
 // CVD's: missing attributes become NULL for the new version's records, new
 // attributes are added to the pool, and conflicting types are widened. The
-// new version's visible schema is exactly cols.
-func (c *CVD) CommitWithSchema(cols []engine.Column, rows []engine.Row, parents []vgraph.VersionID, msg string) (vgraph.VersionID, error) {
-	p, err := c.CommitWithSchemaCtx(context.Background(), cols, rows, parents, msg)
-	if err != nil {
-		return 0, err
-	}
-	return p.Vid, nil
-}
-
-// CommitWithSchemaCtx is CommitWithSchema with trace propagation (the commit
-// phases contribute spans when ctx carries a trace). It evolves the schema
-// and then plans and installs the commit in one go, returning the
-// installed plan. Schema evolution changes the CVD before the commit can be
-// planned, so unlike Commit it cannot be split around a WAL append.
-func (c *CVD) CommitWithSchemaCtx(ctx context.Context, cols []engine.Column, rows []engine.Row, parents []vgraph.VersionID, msg string) (*CommitPlan, error) {
+// new version's visible schema is exactly cols. It evolves the schema and
+// then plans and installs the commit in one go, returning the installed
+// plan; the commit phases contribute spans when ctx carries a trace. Schema
+// evolution changes the CVD before the commit can be planned, so unlike
+// Commit it cannot be split around a WAL append.
+func (c *CVD) CommitWithSchema(ctx context.Context, cols []engine.Column, rows []engine.Row, parents []vgraph.VersionID, msg string) (*CommitPlan, error) {
 	for i, r := range rows {
 		if len(r) != len(cols) {
 			return nil, fmt.Errorf("core: %s: commit row %d has %d values, want %d", c.name, i, len(r), len(cols))

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"orpheusdb/internal/engine"
@@ -28,7 +29,7 @@ func TestSchemaEvolutionPaperExample(t *testing.T) {
 				r := engine.Row{engine.StringValue(p1), engine.StringValue("X"), engine.IntValue(n), co}
 				return append(r, extra...)
 			}
-			v1, err := c.Commit([]engine.Row{row("a", 1, engine.IntValue(10))}, nil, "v1")
+			v1, err := c.Commit(context.Background(), []engine.Row{row("a", 1, engine.IntValue(10))}, nil, "v1")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -36,12 +37,13 @@ func TestSchemaEvolutionPaperExample(t *testing.T) {
 			// v2: cooccurrence becomes decimal.
 			colsV2 := append([]engine.Column(nil), cols...)
 			colsV2[3].Type = engine.KindFloat
-			v2, err := c.CommitWithSchema(colsV2, []engine.Row{
+			v2p, err := c.CommitWithSchema(context.Background(), colsV2, []engine.Row{
 				row("a", 1, engine.FloatValue(10.5)),
 			}, []vgraph.VersionID{v1}, "widen cooccurrence")
 			if err != nil {
 				t.Fatal(err)
 			}
+			v2 := v2p.Vid
 			if c.Columns()[3].Type != engine.KindFloat {
 				t.Fatal("pool column not widened")
 			}
@@ -49,12 +51,13 @@ func TestSchemaEvolutionPaperExample(t *testing.T) {
 			// v3 (from v1): adds coexpression.
 			colsV3 := append(append([]engine.Column(nil), cols...),
 				engine.Column{Name: "coexpression", Type: engine.KindInt})
-			v3, err := c.CommitWithSchema(colsV3, []engine.Row{
+			v3p, err := c.CommitWithSchema(context.Background(), colsV3, []engine.Row{
 				row("a", 1, engine.IntValue(10), engine.IntValue(7)),
 			}, []vgraph.VersionID{v1}, "add coexpression")
 			if err != nil {
 				t.Fatal(err)
 			}
+			v3 := v3p.Vid
 			if len(c.Columns()) != 5 {
 				t.Fatalf("pool has %d columns, want 5", len(c.Columns()))
 			}
@@ -89,7 +92,7 @@ func TestSchemaEvolutionPaperExample(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			v4, err := c.Commit(merged, []vgraph.VersionID{v2, v3}, "merge")
+			v4, err := c.Commit(context.Background(), merged, []vgraph.VersionID{v2, v3}, "merge")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,12 +109,13 @@ func TestSchemaEvolutionPaperExample(t *testing.T) {
 			// Attribute deletions are metadata-only: committing with fewer
 			// columns keeps the pool intact.
 			colsV5 := colsV3[:3] // drop cooccurrence and coexpression
-			v5, err := c.CommitWithSchema(colsV5, []engine.Row{
+			v5p, err := c.CommitWithSchema(context.Background(), colsV5, []engine.Row{
 				{engine.StringValue("b"), engine.StringValue("X"), engine.IntValue(2)},
 			}, []vgraph.VersionID{v3}, "drop attrs")
 			if err != nil {
 				t.Fatal(err)
 			}
+			v5 := v5p.Vid
 			c5, _, err := c.VersionColumns(v5)
 			if err != nil {
 				t.Fatal(err)
@@ -136,7 +140,7 @@ func TestSchemaEvolutionSurvivesReload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1, err := c.Commit([]engine.Row{{engine.IntValue(1), engine.IntValue(2)}}, nil, "v1")
+	v1, err := c.Commit(context.Background(), []engine.Row{{engine.IntValue(1), engine.IntValue(2)}}, nil, "v1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,12 +149,13 @@ func TestSchemaEvolutionSurvivesReload(t *testing.T) {
 		{Name: "v", Type: engine.KindFloat},
 		{Name: "w", Type: engine.KindString},
 	}
-	v2, err := c.CommitWithSchema(wide, []engine.Row{
+	v2p, err := c.CommitWithSchema(context.Background(), wide, []engine.Row{
 		{engine.IntValue(1), engine.FloatValue(2.5), engine.StringValue("x")},
 	}, []vgraph.VersionID{v1}, "evolve")
 	if err != nil {
 		t.Fatal(err)
 	}
+	v2 := v2p.Vid
 
 	path := t.TempDir() + "/s.gob"
 	if err := db.Save(path); err != nil {
@@ -186,7 +191,7 @@ func TestCommitWithSchemaValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.CommitWithSchema([]engine.Column{{Name: "k", Type: engine.KindInt}},
+	if _, err := c.CommitWithSchema(context.Background(), []engine.Column{{Name: "k", Type: engine.KindInt}},
 		[]engine.Row{{engine.IntValue(1), engine.IntValue(2)}}, nil, "arity"); err == nil {
 		t.Fatal("row/schema arity mismatch accepted")
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -275,12 +276,12 @@ func (c *CVD) CommitTable(table, user, msg string) (vgraph.VersionID, error) {
 		rows = append(rows, row)
 		return true
 	})
-	vid, err := c.CommitWithSchema(t.Columns(), rows, p.Parents, msg)
+	cp, err := c.CommitWithSchema(context.TODO(), t.Columns(), rows, p.Parents, msg)
 	if err != nil {
 		return 0, err
 	}
 	if err := c.db.DropTable(table); err != nil {
 		return 0, err
 	}
-	return vid, ReleaseProvenance(c.db, table)
+	return cp.Vid, ReleaseProvenance(c.db, table)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -15,7 +16,7 @@ func stagingCVD(t *testing.T) (*engine.DB, *CVD, vgraph.VersionID) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1, err := c.Commit([]engine.Row{
+	v1, err := c.Commit(context.Background(), []engine.Row{
 		protRow("A", "B", 1, 2, 3),
 		protRow("C", "D", 4, 5, 6),
 	}, nil, "root")

@@ -385,7 +385,7 @@ func (t *Table) meta() TableMeta {
 
 // FlushBackend persists every mutation since the last flush — dirty pages,
 // table catalog entries, settings, the WAL low-water mark — as one atomic
-// backend commit, then lets the working set drain. It returns the estimated
+// backend commit, then lets the working set drain. It returns the page
 // bytes written. The caller must have all mutators quiesced (the store holds
 // ioMu exclusively); concurrent readers are safe. This is the disk engine's
 // checkpoint: O(dirty) instead of the snapshot path's O(store).

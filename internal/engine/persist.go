@@ -76,99 +76,66 @@ func (db *DB) Snapshot() *DBSnapshot {
 	return snap
 }
 
-// ByteSize estimates the snapshot's in-memory footprint (and, closely, its
-// serialized size): value payloads plus per-row and per-table overheads. It
-// walks the copied rows without serializing, so checkpoint cost can be
-// observed and accounted before the expensive gob encode runs.
-func (snap *DBSnapshot) ByteSize() int64 {
-	var n int64
-	for k, v := range snap.Settings {
-		n += int64(len(k)+len(v)) + 16
-	}
-	for _, ts := range snap.Tables {
-		n += int64(len(ts.Name)) + 64
-		for _, c := range ts.Cols {
-			n += int64(len(c.Name)) + 8
-		}
-		for _, k := range ts.PK {
-			n += int64(len(k)) + 8
-		}
-		for _, idx := range ts.Indexes {
-			for _, k := range idx {
-				n += int64(len(k)) + 8
-			}
-		}
-		for _, r := range ts.Rows {
-			n += 24 // slice header + row overhead
-			for _, v := range r {
-				n += valueByteSize(v)
-			}
-		}
-	}
-	return n
-}
-
-// valueByteSize estimates one cell's footprint: the Value struct itself plus
-// any heap payload it points at.
-func valueByteSize(v Value) int64 {
-	n := int64(56) // struct: kind + int64 + float64 + string/slice/ptr headers
-	switch v.K {
-	case KindString:
-		n += int64(len(v.S))
-	case KindIntArray:
-		n += 8 * int64(len(v.A))
-	case KindBitmap:
-		n += v.B.SerializedSizeBytes()
-	}
-	return n
-}
-
 // WriteFile serializes the snapshot to path atomically (write to a temp
 // file, then rename) and durably: the data is fsynced before the rename and
 // the directory entry after it. Durability here is load-bearing — a WAL
 // checkpoint truncates log segments on the strength of this file, so a
 // snapshot that only reached the page cache would let a power failure
-// destroy both copies of acknowledged commits.
-func (snap *DBSnapshot) WriteFile(path string) error {
+// destroy both copies of acknowledged commits. It returns the file's size.
+func (snap *DBSnapshot) WriteFile(path string) (int64, error) {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
-		return fmt.Errorf("engine: save: %w", err)
+		return 0, fmt.Errorf("engine: save: %w", err)
 	}
-	w := bufio.NewWriter(f)
+	cw := &countingWriter{w: f}
+	w := bufio.NewWriter(cw)
 	if err := gob.NewEncoder(w).Encode(snap); err != nil {
 		f.Close()
 		os.Remove(tmp)
-		return fmt.Errorf("engine: save: %w", err)
+		return 0, fmt.Errorf("engine: save: %w", err)
 	}
 	if err := w.Flush(); err != nil {
 		f.Close()
 		os.Remove(tmp)
-		return fmt.Errorf("engine: save: %w", err)
+		return 0, fmt.Errorf("engine: save: %w", err)
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
 		os.Remove(tmp)
-		return fmt.Errorf("engine: save: %w", err)
+		return 0, fmt.Errorf("engine: save: %w", err)
 	}
 	if err := f.Close(); err != nil {
 		os.Remove(tmp)
-		return fmt.Errorf("engine: save: %w", err)
+		return 0, fmt.Errorf("engine: save: %w", err)
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
-		return fmt.Errorf("engine: save: %w", err)
+		return 0, fmt.Errorf("engine: save: %w", err)
 	}
 	if dir, err := os.Open(filepath.Dir(path)); err == nil {
 		dir.Sync()
 		dir.Close()
 	}
-	return nil
+	return cw.n, nil
+}
+
+// countingWriter counts the bytes written through it.
+type countingWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
 }
 
 // Save writes a snapshot of the database to path atomically.
 func (db *DB) Save(path string) error {
-	return db.Snapshot().WriteFile(path)
+	_, err := db.Snapshot().WriteFile(path)
+	return err
 }
 
 // tableNamesLocked lists table names; caller holds at least a read lock.

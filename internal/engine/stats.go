@@ -21,10 +21,10 @@ type Stats struct {
 	IndexProbes atomic.Int64 // index lookups performed
 	HashBuilds  atomic.Int64 // rows inserted into transient hash tables
 
-	// Checkpoint accounting: how many snapshot checkpoints ran and the
-	// cumulative estimated snapshot bytes they captured (DBSnapshot.
-	// ByteSize), so the cost of full-store persistence is observable next
-	// to the I/O it competes with.
+	// Checkpoint accounting: how many checkpoints ran and the cumulative
+	// bytes they wrote (snapshot files on the memory engine, flushed pages
+	// on a backend), so the cost of persistence is observable next to the
+	// I/O it competes with.
 	Checkpoints     atomic.Int64
 	CheckpointBytes atomic.Int64
 

@@ -2,6 +2,7 @@ package repl
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -33,7 +34,7 @@ func newPrimary(t *testing.T) (*orpheusdb.Store, *httptest.Server) {
 func newPrimaryWAL(t *testing.T, cfg orpheusdb.WALConfig) (*orpheusdb.Store, *httptest.Server) {
 	t.Helper()
 	dir := t.TempDir()
-	st, err := orpheusdb.OpenStore(filepath.Join(dir, "primary.odb"))
+	st, err := orpheusdb.OpenStoreWithOptions(filepath.Join(dir, "primary.odb"), orpheusdb.StoreOptions{})
 	if err != nil {
 		t.Fatalf("open primary: %v", err)
 	}
@@ -224,7 +225,7 @@ func TestFollowerKeepsVersionCacheEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, want, gen, err := fd.CheckoutWithToken(v1)
+	_, want, gen, err := fd.CheckoutWithTokenCtx(context.Background(), v1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +246,7 @@ func TestFollowerKeepsVersionCacheEntries(t *testing.T) {
 		t.Fatalf("follower entries after commit and branch records = %d, want v1's entry resident", n)
 	}
 	hits := f.Store().CacheStats().Hits
-	_, got, gen2, err := fd.CheckoutWithToken(v1)
+	_, got, gen2, err := fd.CheckoutWithTokenCtx(context.Background(), v1)
 	if err != nil {
 		t.Fatal(err)
 	}

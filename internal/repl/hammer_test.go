@@ -135,7 +135,7 @@ func TestReplicationConsistencyHammer(t *testing.T) {
 		}
 	}()
 
-	// Checkpointer: Save/truncate racing the shipping stream.
+	// Checkpointer: checkpoint/truncate racing the shipping stream.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()

@@ -454,7 +454,7 @@ func TestGoldenEnvelopes(t *testing.T) {
 	base := ts.URL + "/api/v1/datasets/awk"
 
 	for _, vids := range [][]orpheusdb.VersionID{{1}, {2}, {1, 2}, {3}} {
-		cols, rows, err := d.CheckoutWithColumns(vids...)
+		cols, rows, _, err := d.CheckoutWithTokenCtx(context.Background(), vids...)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -47,7 +47,7 @@
 //
 // The Store's own locking makes every handler safe under concurrency:
 // commits on one dataset proceed in parallel with checkouts on another, and
-// persistence is debounced off the request path via Store.ScheduleSave.
+// persistence is debounced off the request path by the Store.
 //
 // Every request runs under a trace: the server opens a root span named after
 // the matched route, hands the traced context to the handler (whose checkout,
@@ -570,7 +570,7 @@ func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
 	}
 	var vid orpheusdb.VersionID
 	if len(req.Columns) > 0 {
-		vid, err = d.CommitWithSchemaCtx(r.Context(), cols, rows, versionIDs(req.Parents), req.Message)
+		vid, err = d.CommitWithSchema(r.Context(), cols, rows, versionIDs(req.Parents), req.Message)
 	} else {
 		vid, err = d.CommitCtx(r.Context(), rows, versionIDs(req.Parents), req.Message)
 	}
@@ -1001,7 +1001,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var res *orpheusdb.Result
 	var err error
 	if req.Script {
-		res, err = s.store.RunScriptCtx(r.Context(), req.SQL)
+		res, err = s.store.RunScript(r.Context(), req.SQL)
 	} else {
 		res, err = s.store.RunCtx(r.Context(), req.SQL)
 	}

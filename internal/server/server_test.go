@@ -291,7 +291,7 @@ func TestUsersAndHealth(t *testing.T) {
 // the debounced save path and survive a reload.
 func TestPersistenceThroughServer(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store.odb")
-	store, err := orpheusdb.OpenStore(path)
+	store, err := orpheusdb.OpenStoreWithOptions(path, orpheusdb.StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestPersistenceThroughServer(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := orpheusdb.OpenStore(path)
+	re, err := orpheusdb.OpenStoreWithOptions(path, orpheusdb.StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

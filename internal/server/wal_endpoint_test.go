@@ -13,7 +13,7 @@ import (
 func newWALServer(t *testing.T) (*httptest.Server, *orpheusdb.Store) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "srv.odb")
-	store, err := orpheusdb.OpenStore(path)
+	store, err := orpheusdb.OpenStoreWithOptions(path, orpheusdb.StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

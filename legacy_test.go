@@ -173,7 +173,9 @@ func TestLegacySplitByRlistStoresOpen(t *testing.T) {
 // TestWALLegacyInitRecords: a log whose init records name the former
 // default model replays as the partitioned model; one whose init names a
 // paper model sets that dataset aside — it does not open, with an error
-// naming the model — while the rest of the log replays.
+// naming the model — while the rest of the log replays. The set-aside
+// dataset is a catalog row: it survives a checkpoint, List names it, and a
+// logged drop removes it.
 func TestWALLegacyInitRecords(t *testing.T) {
 	src := t.TempDir()
 	s := openWALStore(t, src, FsyncOff)
@@ -213,7 +215,7 @@ func TestWALLegacyInitRecords(t *testing.T) {
 	}
 
 	r := openWALStore(t, dir, FsyncOff)
-	defer crash(r)
+	defer func() { crash(r) }()
 	for _, name := range []string{"old", "current"} {
 		d, err := r.Dataset(name)
 		if err != nil {
@@ -226,11 +228,54 @@ func TestWALLegacyInitRecords(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
-	_, err = r.Dataset("paper")
-	if !errors.Is(err, ErrUnservedModel) || !strings.Contains(err.Error(), "combined-table") {
-		t.Fatalf("paper-model dataset: err = %v, want ErrUnservedModel naming combined-table", err)
+	setAside := func(when string) {
+		t.Helper()
+		_, err := r.Dataset("paper")
+		if !errors.Is(err, ErrUnservedModel) || !strings.Contains(err.Error(), "combined-table") {
+			t.Fatalf("%s: paper-model dataset: err = %v, want ErrUnservedModel naming combined-table", when, err)
+		}
+		if names := r.List(); fmt.Sprint(names) != "[current old paper]" {
+			t.Fatalf("%s: List = %v", when, names)
+		}
 	}
-	// The name is free again once a new dataset takes it.
+	setAside("after replay")
+	if err := r.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	crash(r)
+	r = openWALStore(t, dir, FsyncOff)
+	setAside("after checkpoint and reopen")
+
+	// A follower bootstrapped now holds the row too, and applies the drop.
+	follower, err := NewStoreFromSnapshot(r.ReplicationSnapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	from := r.WALStatus().AppliedLSN
+	if err := r.Drop("paper"); err != nil {
+		t.Fatal(err)
+	}
+	it, err := r.OpenWALStream(from)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lsn, rec, _, err := it.Next()
+	it.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := follower.ApplyReplicated(lsn, rec); err != nil {
+		t.Fatalf("follower applying the drop: %v", err)
+	}
+	if names := follower.List(); fmt.Sprint(names) != "[current old]" {
+		t.Fatalf("follower after the drop: List = %v", names)
+	}
+	crash(r)
+	r = openWALStore(t, dir, FsyncOff)
+	if names := r.List(); fmt.Sprint(names) != "[current old]" {
+		t.Fatalf("after the logged drop replays: List = %v", names)
+	}
+	// The name is free again once dropped.
 	if _, err := r.Init("paper", protCols(), InitOptions{}); err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +312,7 @@ func TestPaperModelCatalogEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := OpenStore(path)
+	r, err := OpenStoreWithOptions(path, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,5 +328,12 @@ func TestPaperModelCatalogEntry(t *testing.T) {
 	}
 	if names := r.List(); fmt.Sprint(names) != "[ok paper]" {
 		t.Fatalf("List = %v", names)
+	}
+	// Dropping it removes the catalog row.
+	if err := r.Drop("paper"); err != nil {
+		t.Fatal(err)
+	}
+	if names := r.List(); fmt.Sprint(names) != "[ok]" {
+		t.Fatalf("after drop: List = %v", names)
 	}
 }

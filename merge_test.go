@@ -1,6 +1,7 @@
 package orpheusdb
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -254,7 +255,7 @@ func TestMergeRecordSetEqualsFormula(t *testing.T) {
 func TestBranchPersistence(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "s.odb")
-	s, err := OpenStore(path)
+	s, err := OpenStoreWithOptions(path, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +278,7 @@ func TestBranchPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := OpenStore(path)
+	r, err := OpenStoreWithOptions(path, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +367,7 @@ func TestBranchSQLSurface(t *testing.T) {
 	if _, err := d.Branch("dev"); err == nil {
 		t.Fatal("dev survived DROP BRANCH")
 	}
-	if _, err := s.RunScript("CREATE BRANCH scripted OF CVD prot; SELECT count(*) FROM VERSION scripted OF CVD prot"); err != nil {
+	if _, err := s.RunScript(context.Background(), "CREATE BRANCH scripted OF CVD prot; SELECT count(*) FROM VERSION scripted OF CVD prot"); err != nil {
 		t.Fatal(err)
 	}
 	// Error surfaces: unknown branch, unknown policy, missing CVD, and the

@@ -97,7 +97,7 @@ func (s *Store) registerCollectors() {
 	counter("orpheus_engine_index_probes_total", "Index lookups performed.", stats.IndexProbes.Load)
 	counter("orpheus_engine_hash_builds_total", "Rows inserted into transient hash tables.", stats.HashBuilds.Load)
 	counter("orpheus_checkpoints_total", "Snapshot checkpoints taken.", stats.Checkpoints.Load)
-	counter("orpheus_checkpoint_bytes_total", "Cumulative estimated snapshot bytes checkpointed.", stats.CheckpointBytes.Load)
+	counter("orpheus_checkpoint_bytes_total", "Cumulative bytes written by checkpoints.", stats.CheckpointBytes.Load)
 	counter("orpheus_branch_creates_total", "Branches created.", stats.BranchCreates.Load)
 	counter("orpheus_merges_total", "Merges attempted.", stats.Merges.Load)
 	counter("orpheus_merge_conflicts_total", "Record-level merge conflicts detected.", stats.MergeConflicts.Load)

@@ -237,7 +237,7 @@ func TestManualOptimizeYieldsBetweenBatches(t *testing.T) {
 // its applied prefix to disk.
 func TestRepartitionSavesAppliedBatches(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store.odb")
-	s, err := OpenStore(path)
+	s, err := OpenStoreWithOptions(path, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestRepartitionSavesAppliedBatches(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	r, err := OpenStore(path)
+	r, err := OpenStoreWithOptions(path, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,11 +21,12 @@
 // each Dataset carries its own RWMutex (commits on dataset A never block
 // checkouts on dataset B, and block checkouts on A only while they install)
 // and writer mutex, and a store-wide save lock is held shared by mutators
-// and exclusively by Save, so snapshots observe a quiescent engine.
+// and exclusively by Checkpoint, so checkpoints observe a quiescent engine.
 package orpheusdb
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"sync"
@@ -106,8 +107,8 @@ const (
 	KindIntArray = engine.KindIntArray
 )
 
-// DefaultSaveDelay is the debounce interval for asynchronous saves scheduled
-// with ScheduleSave.
+// DefaultSaveDelay is the debounce interval of the asynchronous saves
+// mutators schedule.
 const DefaultSaveDelay = 250 * time.Millisecond
 
 // DefaultCacheBudget is the byte budget the checkout cache starts with.
@@ -128,16 +129,13 @@ type Store struct {
 	mu       sync.RWMutex
 	user     string
 	datasets map[string]*Dataset
-	// unserved holds, per dataset, the error of a logged init that named a
-	// data model the store no longer serves (see replayRecord).
-	unserved map[string]error
 
 	// ioMu is the save lock. Dataset-scoped writers (commits, optimize)
 	// hold it shared — their tables are guarded by the per-dataset lock,
 	// so unrelated datasets proceed concurrently. Operations touching
 	// tables a raw SQL query could name concurrently (catalog, staging,
-	// users) hold it exclusively, as do SQL write statements and Save
-	// itself, so snapshots and scans never observe in-flight writes.
+	// users) hold it exclusively, as do SQL write statements and Checkpoint
+	// itself, so checkpoints and scans never observe in-flight writes.
 	// Pure readers skip it entirely.
 	ioMu sync.RWMutex
 
@@ -145,8 +143,9 @@ type Store struct {
 	// tables, which every dataset and user writes into.
 	stagingMu sync.Mutex
 
-	// diskMu serializes snapshot serialization to the store file, so an
-	// async save and a Flush never interleave writes to the same path.
+	// diskMu serializes checkpoints, so an async save and a Flush never
+	// interleave writes to the same path, and CloseWAL, so no checkpoint
+	// truncates a log being closed.
 	diskMu sync.Mutex
 
 	// cache is the version-aware checkout cache consulted by every
@@ -160,7 +159,7 @@ type Store struct {
 	// newStore, then read-only.
 	cache *cache.Cache
 
-	// Debounced async persistence (ScheduleSave / Flush).
+	// Debounced async persistence (scheduleSave / Flush).
 	saveMu    sync.Mutex
 	saveDelay time.Duration
 	saveTimer *time.Timer
@@ -168,10 +167,10 @@ type Store struct {
 	saveErr   error
 
 	// Write-ahead log (EnableWAL; nil when disabled). Set once before the
-	// store is shared, then read-only. walErr records the first append or
-	// install failure and installErr the first install failure (both
-	// guarded by saveMu); ckptLSN is the watermark covered by the last
-	// successful checkpoint.
+	// store is shared, then read-only until CloseWAL clears it. walErr
+	// records the first append or install failure and installErr the first
+	// install failure (both guarded by saveMu); ckptLSN is the watermark
+	// covered by the last successful checkpoint.
 	wal        *wal.Log
 	walCfg     WALConfig
 	walErr     error
@@ -275,16 +274,10 @@ const DefaultPageBudget int64 = 256 << 20
 // version, reserved); a gob snapshot is longer still.
 const minStoreFileLen = 8
 
-// OpenStore opens (or creates) a store persisted at path, sniffing the
-// existing file's format to pick the storage engine (gob snapshot → memory,
-// page KV → disk). New stores get the memory engine; use
-// OpenStoreWithOptions to create a disk-backed store.
-func OpenStore(path string) (*Store, error) {
-	return OpenStoreWithOptions(path, StoreOptions{})
-}
-
-// OpenStoreWithOptions opens (or creates) a store persisted at path with an
-// explicit storage engine choice.
+// OpenStoreWithOptions opens (or creates) a store persisted at path. With
+// the zero StoreOptions it sniffs the existing file's format to pick the
+// storage engine (gob snapshot → memory, page KV → disk), and a new store
+// gets the memory engine; opts.Backend makes the choice explicit.
 func OpenStoreWithOptions(path string, opts StoreOptions) (*Store, error) {
 	if opts.PageBudgetBytes <= 0 {
 		opts.PageBudgetBytes = DefaultPageBudget
@@ -350,17 +343,17 @@ func (s *Store) BackendKind() BackendKind { return BackendKind(s.db.BackendKind(
 // runtime (no-op for memory stores). See engine.DB.SetPageBudget.
 func (s *Store) SetPageBudget(n int64) { s.db.SetPageBudget(n) }
 
-// Save persists the store to its path synchronously (no-op for in-memory
-// stores). The save lock is held exclusively only while the in-memory
-// snapshot is captured; the expensive gob encode and disk write run after
-// it is released, so in-flight requests stall only for the copy.
+// Checkpoint persists the store to its path synchronously (no-op for stores
+// without a path, whose WAL, if any, is their persistence). The save lock is
+// held exclusively only while the engine captures its state: a snapshot
+// copy on the memory backend, a dirty-page flush on the disk backend. A
+// snapshot's gob encode and file write run after the lock is released, so
+// in-flight requests stall only for the copy.
 //
-// With a WAL attached, Save is a checkpoint: the snapshot carries the
-// applied-LSN watermark, and on success the log segments it made obsolete
-// are truncated. The snapshot's estimated size is accounted in
-// engine.Stats (Checkpoints / CheckpointBytes) so checkpoint cost stays
-// observable.
-func (s *Store) Save() error {
+// With a WAL attached, the checkpoint carries the applied-LSN watermark, and
+// on success the log segments it made obsolete are truncated. The bytes it
+// wrote are counted in engine.Stats (Checkpoints / CheckpointBytes).
+func (s *Store) Checkpoint() error {
 	if s.path == "" {
 		return nil
 	}
@@ -372,31 +365,29 @@ func (s *Store) Save() error {
 		// watermark past it (see installFailed).
 		return fmt.Errorf("orpheusdb: checkpoint refused until restart: %w", stuck)
 	}
-	if s.db.Backend() != nil {
-		return s.saveBackend()
-	}
 	s.diskMu.Lock()
 	defer s.diskMu.Unlock()
+	var snap *engine.DBSnapshot
+	var written int64
+	var err error
 	s.ioMu.Lock()
-	snap := s.db.Snapshot()
+	if s.db.Backend() == nil {
+		snap = s.db.Snapshot()
+	} else {
+		written, err = s.db.FlushBackend()
+	}
+	lsn := s.db.WalLSN()
 	s.ioMu.Unlock()
-	err := snap.WriteFile(s.path)
+	if snap != nil {
+		written, err = snap.WriteFile(s.path)
+	}
 	if err == nil {
 		stats := s.db.Stats()
 		stats.Checkpoints.Add(1)
-		// The file just written gives the exact cost for free; the
-		// Snapshot.ByteSize estimator exists for callers who need the
-		// figure before encoding.
-		if fi, serr := os.Stat(s.path); serr == nil {
-			stats.CheckpointBytes.Add(fi.Size())
-		} else {
-			stats.CheckpointBytes.Add(snap.ByteSize())
-		}
-		s.ckptLSN.Store(snap.WalLSN)
+		stats.CheckpointBytes.Add(written)
+		s.ckptLSN.Store(lsn)
 		if s.wal != nil {
-			if terr := s.wal.Truncate(snap.WalLSN); terr != nil {
-				err = terr
-			}
+			err = s.wal.Truncate(lsn)
 		}
 	}
 	s.saveMu.Lock()
@@ -408,39 +399,8 @@ func (s *Store) Save() error {
 	return err
 }
 
-// saveBackend is the disk-backend checkpoint: flush dirty pages and the
-// catalog as one atomic KV commit instead of re-serializing the whole store.
-// The save lock is held exclusively for the duration — unlike the snapshot
-// path there is no in-memory copy to hand off, but the write is O(dirty
-// pages), not O(store). Pure readers proceed throughout (they never take
-// ioMu); on success the WAL is truncated up to the flushed watermark exactly
-// as after a snapshot checkpoint.
-func (s *Store) saveBackend() error {
-	s.diskMu.Lock()
-	defer s.diskMu.Unlock()
-	s.ioMu.Lock()
-	written, err := s.db.FlushBackend()
-	lsn := s.db.WalLSN()
-	s.ioMu.Unlock()
-	if err == nil {
-		stats := s.db.Stats()
-		stats.Checkpoints.Add(1)
-		stats.CheckpointBytes.Add(written)
-		s.ckptLSN.Store(lsn)
-		if s.wal != nil {
-			if terr := s.wal.Truncate(lsn); terr != nil {
-				err = terr
-			}
-		}
-	}
-	s.saveMu.Lock()
-	s.saveErr = err
-	s.saveMu.Unlock()
-	s.saveHistory()
-	return err
-}
-
-// SetSaveDelay changes the debounce interval used by ScheduleSave.
+// SetSaveDelay changes the debounce interval of the asynchronous saves
+// mutators schedule.
 func (s *Store) SetSaveDelay(d time.Duration) {
 	s.saveMu.Lock()
 	defer s.saveMu.Unlock()
@@ -450,11 +410,11 @@ func (s *Store) SetSaveDelay(d time.Duration) {
 	s.saveDelay = d
 }
 
-// ScheduleSave requests an asynchronous save: the store persists itself at
-// most saveDelay later, coalescing bursts of mutations into one snapshot so
-// persistence stays off the request hot path. Mutating Dataset and Store
-// methods call this automatically. No-op for in-memory stores.
-func (s *Store) ScheduleSave() {
+// scheduleSave requests an asynchronous save: the store checkpoints itself
+// at most saveDelay later, coalescing bursts of mutations into one
+// checkpoint so persistence stays off the request hot path. Every mutator
+// calls it. No-op for in-memory stores.
+func (s *Store) scheduleSave() {
 	if s.path == "" {
 		return
 	}
@@ -471,7 +431,7 @@ func (s *Store) asyncSave() {
 	s.saveMu.Lock()
 	s.saveArmed = false
 	s.saveMu.Unlock()
-	_ = s.Save() // outcome recorded in saveErr by Save itself
+	_ = s.Checkpoint() // outcome recorded in saveErr by Checkpoint itself
 }
 
 // SaveErr reports the outcome of the most recent save (sync or async).
@@ -481,9 +441,8 @@ func (s *Store) SaveErr() error {
 	return s.saveErr
 }
 
-// Flush cancels any pending debounced save and persists synchronously, also
-// fsyncing the WAL tail (which matters under FsyncInterval/FsyncOff). Call
-// it before process exit (Close is an alias).
+// Flush cancels any pending debounced save and checkpoints synchronously,
+// also fsyncing the WAL tail (which matters under FsyncInterval/FsyncOff).
 func (s *Store) Flush() error {
 	s.saveMu.Lock()
 	if s.saveTimer != nil {
@@ -491,22 +450,26 @@ func (s *Store) Flush() error {
 	}
 	s.saveArmed = false
 	s.saveMu.Unlock()
-	err := s.Save()
-	if serr := s.SyncWAL(); err == nil {
-		err = serr
+	err := s.Checkpoint()
+	if s.wal != nil {
+		if serr := s.wal.Sync(); err == nil {
+			err = serr
+		}
 	}
 	return err
 }
 
-// Close flushes pending state to disk and, for disk-backend stores, releases
-// the store file (and its lock). A memory-backend store remains usable after
-// Close; a disk-backend store does not.
+// Close flushes pending state to disk, closes the WAL the store owns, and,
+// for disk-backend stores, releases the store file (and its lock). Call it
+// before process exit. A memory-backend store remains usable after Close,
+// without a WAL; a disk-backend store does not.
 func (s *Store) Close() error {
 	err := s.Flush()
-	if s.db.Backend() != nil {
-		if cerr := s.db.CloseBackend(); err == nil {
-			err = cerr
-		}
+	if cerr := s.CloseWAL(); err == nil {
+		err = cerr
+	}
+	if cerr := s.db.CloseBackend(); err == nil {
+		err = cerr
 	}
 	return err
 }
@@ -558,7 +521,7 @@ func (s *Store) AddUser(name string) error {
 	if err := s.logMutation(&wal.Record{Type: wal.TypeUserAdd, User: name}); err != nil {
 		return err
 	}
-	s.ScheduleSave()
+	s.scheduleSave()
 	return nil
 }
 
@@ -681,11 +644,10 @@ func (s *Store) Init(name string, cols []Column, opts InitOptions) (*Dataset, er
 	s.invalidateCache(rec)
 	d := &Dataset{store: s, cvd: c}
 	s.datasets[name] = d
-	delete(s.unserved, name)
 	if err := s.logMutation(rec); err != nil {
 		return nil, err
 	}
-	s.ScheduleSave()
+	s.scheduleSave()
 	return d, nil
 }
 
@@ -710,9 +672,6 @@ func (s *Store) dataset(name string) (*Dataset, error) {
 	if d, ok := s.datasets[name]; ok {
 		return d, nil
 	}
-	if err := s.unserved[name]; err != nil {
-		return nil, err
-	}
 	c, err := core.Open(s.db, name)
 	if err != nil {
 		return nil, err
@@ -735,7 +694,9 @@ func (s *Store) List() []string {
 }
 
 // Drop removes a CVD and all its versions (drop command). Outstanding
-// Dataset handles are invalidated: their operations fail until reopened.
+// Dataset handles are invalidated: their operations fail until reopened. A
+// dataset set aside under a data model the store does not serve
+// (ErrUnservedModel) has no handle; dropping it removes its catalog row.
 func (s *Store) Drop(name string) error {
 	if err := s.writable(); err != nil {
 		return err
@@ -747,24 +708,30 @@ func (s *Store) Drop(name string) error {
 	d, ok := s.datasets[name]
 	if !ok {
 		c, err := core.Open(s.db, name)
+		if errors.Is(err, ErrUnservedModel) {
+			err = core.DropSetAside(s.db, name)
+		} else if err == nil {
+			d = &Dataset{store: s, cvd: c}
+		}
 		if err != nil {
 			return err
 		}
-		d = &Dataset{store: s, cvd: c}
 	}
-	d.lock()
-	defer d.unlock()
-	if err := d.cvd.Drop(); err != nil {
-		return err
+	if d != nil {
+		d.lock()
+		defer d.unlock()
+		if err := d.cvd.Drop(); err != nil {
+			return err
+		}
+		d.dropped = true
+		delete(s.datasets, name)
 	}
-	d.dropped = true
-	delete(s.datasets, name)
 	rec := &wal.Record{Type: wal.TypeDrop, Dataset: name}
 	s.invalidateCache(rec)
 	if err := s.logMutation(rec); err != nil {
 		return err
 	}
-	s.ScheduleSave()
+	s.scheduleSave()
 	return nil
 }
 
@@ -888,21 +855,16 @@ func (d *Dataset) logAndInstall(ctx context.Context, span string, writerWait tim
 	if err != nil {
 		return s.installFailed(rec, err)
 	}
-	s.ScheduleSave()
+	s.scheduleSave()
 	return nil
 }
 
 // CommitWithSchema commits rows under a (possibly changed) schema,
-// exercising the single-pool schema evolution of Section 3.3.
-func (d *Dataset) CommitWithSchema(cols []Column, rows []Row, parents []VersionID, msg string) (VersionID, error) {
-	return d.CommitWithSchemaCtx(context.Background(), cols, rows, parents, msg)
-}
-
-// CommitWithSchemaCtx is CommitWithSchema with trace propagation (see
-// CommitCtx). Schema evolution changes the dataset before the commit can be
-// planned, so a schema commit keeps one exclusive section: evolve, commit,
-// invalidate, append.
-func (d *Dataset) CommitWithSchemaCtx(ctx context.Context, cols []Column, rows []Row, parents []VersionID, msg string) (VersionID, error) {
+// exercising the single-pool schema evolution of Section 3.3, with trace
+// propagation as in CommitCtx. Schema evolution changes the dataset before
+// the commit can be planned, so a schema commit keeps one exclusive section:
+// evolve, commit, invalidate, append.
+func (d *Dataset) CommitWithSchema(ctx context.Context, cols []Column, rows []Row, parents []VersionID, msg string) (VersionID, error) {
 	if err := d.store.writable(); err != nil {
 		return 0, err
 	}
@@ -913,7 +875,7 @@ func (d *Dataset) CommitWithSchemaCtx(ctx context.Context, cols []Column, rows [
 	if err := d.aliveLocked(); err != nil {
 		return 0, err
 	}
-	p, err := d.cvd.CommitWithSchemaCtx(ctx, cols, rows, parents, msg)
+	p, err := d.cvd.CommitWithSchema(ctx, cols, rows, parents, msg)
 	if err != nil {
 		return 0, err
 	}
@@ -924,7 +886,7 @@ func (d *Dataset) CommitWithSchemaCtx(ctx context.Context, cols []Column, rows [
 	if err := d.store.logMutationCtx(ctx, rec); err != nil {
 		return p.Vid, err
 	}
-	d.store.ScheduleSave()
+	d.store.scheduleSave()
 	d.store.wakeOptimizer()
 	return p.Vid, nil
 }
@@ -932,50 +894,24 @@ func (d *Dataset) CommitWithSchemaCtx(ctx context.Context, cols []Column, rows [
 // Checkout materializes one or more versions as rows; with several versions
 // records merge in precedence order under the primary key.
 func (d *Dataset) Checkout(vids ...VersionID) ([]Row, error) {
-	return d.CheckoutCtx(context.Background(), vids...)
-}
-
-// CheckoutCtx is Checkout with trace propagation: when ctx carries a trace,
-// the cache lookup, bitmap resolution, and record fetch contribute nested
-// spans, and the latency lands in the hit/miss checkout histograms.
-func (d *Dataset) CheckoutCtx(ctx context.Context, vids ...VersionID) ([]Row, error) {
 	d.rlock()
 	defer d.mu.RUnlock()
 	if err := d.aliveLocked(); err != nil {
 		return nil, err
 	}
-	return d.cvd.CheckoutCtx(ctx, vids...)
+	return d.cvd.Checkout(vids...)
 }
 
-// CheckoutWithColumns returns the schema and the materialized rows under a
-// single lock acquisition, so the pair stays mutually consistent even while
-// schema-changing commits run concurrently.
-func (d *Dataset) CheckoutWithColumns(vids ...VersionID) ([]Column, []Row, error) {
-	d.rlock()
-	defer d.mu.RUnlock()
-	if err := d.aliveLocked(); err != nil {
-		return nil, nil, err
-	}
-	rows, err := d.cvd.Checkout(vids...)
-	if err != nil {
-		return nil, nil, err
-	}
-	return append([]Column(nil), d.cvd.Columns()...), rows, nil
-}
-
-// CheckoutWithToken is CheckoutWithColumns plus the dataset's cache
-// generation, observed under the same lock acquisition as the rows. The
-// generation advances on every mutation that could change what this
+// CheckoutWithTokenCtx is Checkout plus the schema and the dataset's cache
+// generation, all observed under one lock acquisition, so they stay
+// mutually consistent even while schema-changing commits run concurrently.
+// The generation advances on every mutation that could change what this
 // dataset's versions materialize to, so (dataset, versions, generation) is a
 // sound validator: a client holding rows tagged with the same generation is
 // guaranteed they are still current (the HTTP layer turns this into
-// ETag-style X-Orpheus-Version headers and 304 responses).
-func (d *Dataset) CheckoutWithToken(vids ...VersionID) ([]Column, []Row, uint64, error) {
-	return d.CheckoutWithTokenCtx(context.Background(), vids...)
-}
-
-// CheckoutWithTokenCtx is CheckoutWithToken with trace propagation (see
-// CheckoutCtx).
+// ETag-style X-Orpheus-Version headers and 304 responses). When ctx carries
+// a trace, the cache lookup, bitmap resolution, and record fetch contribute
+// nested spans.
 func (d *Dataset) CheckoutWithTokenCtx(ctx context.Context, vids ...VersionID) ([]Column, []Row, uint64, error) {
 	d.rlock()
 	defer d.mu.RUnlock()
@@ -991,7 +927,7 @@ func (d *Dataset) CheckoutWithTokenCtx(ctx context.Context, vids ...VersionID) (
 }
 
 // CacheGeneration returns the dataset's current cache generation (see
-// CheckoutWithToken) under the dataset read lock.
+// CheckoutWithTokenCtx) under the dataset read lock.
 func (d *Dataset) CacheGeneration() uint64 {
 	d.rlock()
 	defer d.mu.RUnlock()
@@ -1050,7 +986,7 @@ func (d *Dataset) CheckoutToTable(table string, vids ...VersionID) error {
 	if err := d.cvd.CheckoutToTable(table, user, vids...); err != nil {
 		return err
 	}
-	s.ScheduleSave()
+	s.scheduleSave()
 	return nil
 }
 
@@ -1115,7 +1051,7 @@ func (d *Dataset) CommitTable(table, msg string) (VersionID, error) {
 			return v, err
 		}
 	}
-	s.ScheduleSave()
+	s.scheduleSave()
 	s.wakeOptimizer()
 	return v, nil
 }
@@ -1137,20 +1073,15 @@ func (d *Dataset) Diff(a, b VersionID) (onlyA, onlyB []Row, err error) {
 // face of the SQL `VERSION v1 INTERSECT v2 OF CVD name` scan. With a single
 // version and no ops it degenerates to a plain checkout of that version's
 // records. Unlike Checkout, results are record-id algebra: no primary-key
-// precedence is applied.
-func (d *Dataset) MultiVersionCheckout(vids []VersionID, ops []SetOp) ([]Row, error) {
-	return d.MultiVersionCheckoutCtx(context.Background(), vids, ops)
-}
-
-// MultiVersionCheckoutCtx is MultiVersionCheckout with trace propagation
-// (see CheckoutCtx).
-func (d *Dataset) MultiVersionCheckoutCtx(ctx context.Context, vids []VersionID, ops []SetOp) ([]Row, error) {
+// precedence is applied. When ctx carries a trace, bitmap resolution and
+// record fetch contribute nested spans.
+func (d *Dataset) MultiVersionCheckout(ctx context.Context, vids []VersionID, ops []SetOp) ([]Row, error) {
 	d.rlock()
 	defer d.mu.RUnlock()
 	if err := d.aliveLocked(); err != nil {
 		return nil, err
 	}
-	return d.cvd.MultiVersionCheckoutCtx(ctx, vids, ops)
+	return d.cvd.MultiVersionCheckout(ctx, vids, ops)
 }
 
 // StorageBreakdown reports where the dataset's bytes live: compressed

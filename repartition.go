@@ -190,7 +190,7 @@ func (d *Dataset) applyBatch(ctx context.Context, b core.PartitionBatch) (int64,
 	if err := s.logMutation(rec); err != nil {
 		return n, err
 	}
-	s.ScheduleSave()
+	s.scheduleSave()
 	return n, nil
 }
 

@@ -1,6 +1,7 @@
 package orpheusdb
 
 import (
+	"errors"
 	"fmt"
 
 	"orpheusdb/internal/engine"
@@ -47,10 +48,11 @@ func NewStoreFromSnapshot(snap *engine.DBSnapshot) (*Store, error) {
 	return newStore(db, "")
 }
 
-// ReplicationSnapshot captures a snapshot for follower bootstrap. Like Save,
-// the exclusive lock is held only for the in-memory copy; the caller encodes
-// and ships the result without blocking writers. The snapshot's WalLSN is the
-// watermark the follower resumes the stream from.
+// ReplicationSnapshot captures a snapshot for follower bootstrap. As in a
+// memory-backend Checkpoint, the exclusive lock is held only for the
+// in-memory copy; the caller encodes and ships the result without blocking
+// writers. The snapshot's WalLSN is the watermark the follower resumes the
+// stream from.
 func (s *Store) ReplicationSnapshot() *engine.DBSnapshot {
 	s.ioMu.Lock()
 	snap := s.db.Snapshot()
@@ -109,12 +111,16 @@ func (s *Store) ApplyReplicated(lsn uint64, rec *wal.Record) error {
 		return fmt.Errorf("orpheusdb: replication gap: want LSN %d, got %d", applied+1, lsn)
 	}
 	if rec.Dataset != "" && rec.Type != wal.TypeInit {
+		// A dataset set aside under an unserved model has no handle to
+		// lock; applyRecord accepts only its drop.
 		d, err := s.dataset(rec.Dataset)
-		if err != nil {
+		if err != nil && !errors.Is(err, ErrUnservedModel) {
 			return fmt.Errorf("orpheusdb: replication apply LSN %d: %w", lsn, err)
 		}
-		d.lock()
-		defer d.unlock()
+		if d != nil {
+			d.lock()
+			defer d.unlock()
+		}
 	}
 	if err := s.applyRecord(rec); err != nil {
 		return fmt.Errorf("orpheusdb: replication apply LSN %d (%s %s): %w", lsn, rec.Type, rec.Dataset, err)

@@ -145,7 +145,7 @@ func (s *Store) runParsed(ctx context.Context, stmt sql.Stmt) (*Result, error) {
 		// statement may have applied partial mutations (e.g. a multi-row
 		// INSERT failing midway), so flush and persist either way.
 		s.cache.Flush()
-		s.ScheduleSave()
+		s.scheduleSave()
 	}
 	return res, err
 }
@@ -153,16 +153,11 @@ func (s *Store) runParsed(ctx context.Context, stmt sql.Stmt) (*Result, error) {
 // RunScript executes a semicolon-separated script, returning the last result.
 // A script containing branch or merge statements runs statement by statement
 // (each under its own locking), since those statements acquire the store's
-// locks themselves; pure SQL scripts keep the single save-lock window.
-func (s *Store) RunScript(src string) (*Result, error) {
-	return s.RunScriptCtx(context.Background(), src)
-}
-
-// RunScriptCtx is RunScript with trace propagation: the script-level parse
-// contributes one "sql.parse" span, and each executed statement its own
-// "sql.execute" span (scripts containing branch statements span per statement
-// through runParsed instead).
-func (s *Store) RunScriptCtx(ctx context.Context, src string) (*Result, error) {
+// locks themselves; pure SQL scripts keep the single save-lock window. The
+// script-level parse contributes one "sql.parse" span, and each executed
+// statement its own "sql.execute" span (scripts containing branch statements
+// span per statement through runParsed instead).
+func (s *Store) RunScript(ctx context.Context, src string) (*Result, error) {
 	_, pspan := obs.StartSpan(ctx, "sql.parse")
 	pstart := time.Now()
 	stmts, err := sql.ParseScript(src)
@@ -193,7 +188,7 @@ func (s *Store) RunScriptCtx(ctx context.Context, src string) (*Result, error) {
 	// statement fails (or the failing statement itself applied partially).
 	defer func() {
 		if wrote {
-			s.ScheduleSave()
+			s.scheduleSave()
 		}
 	}()
 	for _, stmt := range stmts {
@@ -362,7 +357,7 @@ func (src *cvdSource) MaterializeVersionRef(ref *sql.TableRef) ([]engine.Column,
 			}
 			ops[i] = op
 		}
-		rows, err := d.cvd.MultiVersionCheckoutCtx(src.context(), vids, ops)
+		rows, err := d.cvd.MultiVersionCheckout(src.context(), vids, ops)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -377,7 +372,7 @@ func (src *cvdSource) MaterializeVersionRef(ref *sql.TableRef) ([]engine.Column,
 		// All-versions view: vid + data attributes, one row per
 		// (version, record) pair — the "table with versioned records" of
 		// Figure 1a, generated on the fly.
-		return d.cvd.AllVersionsCheckoutCtx(src.context())
+		return d.cvd.AllVersionsCheckout(src.context())
 	}
 }
 

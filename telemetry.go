@@ -59,7 +59,7 @@ func (s *Store) historySidecar() string {
 // StartMetricsHistory launches the retained metrics sampler: a goroutine
 // snapshotting every registry counter, gauge, and histogram digest into
 // fixed rings at the configured retention tiers. For persistent stores, a
-// prior run's sidecar (written by Save) is restored first, so history
+// prior run's sidecar (written by Checkpoint) is restored first, so history
 // survives a restart. At most one history runs per store.
 func (s *Store) StartMetricsHistory(opts obs.HistoryOptions) (*obs.History, error) {
 	h, err := obs.NewHistory(s.obs.reg, opts)

@@ -43,7 +43,7 @@ func TestDatasetHeatAggregation(t *testing.T) {
 // reopened store's sampler restores it before recording anything new.
 func TestMetricsHistorySidecarPersistence(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store.bin")
-	store, err := OpenStore(path)
+	store, err := OpenStoreWithOptions(path, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestMetricsHistorySidecarPersistence(t *testing.T) {
 
 	// Reopen: the restored sampler serves the prior run's series even before
 	// its first tick.
-	store2, err := OpenStore(path)
+	store2, err := OpenStoreWithOptions(path, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

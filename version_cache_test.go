@@ -1,6 +1,7 @@
 package orpheusdb
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"strconv"
@@ -160,7 +161,7 @@ func testCommitsKeepVersionCacheEntries(t *testing.T, model ModelKind) {
 	// reads with a NULL in the added column, and the generation moves.
 	gen := ds.CacheGeneration()
 	wide := append(append([]Column(nil), cols...), Column{Name: "note", Type: KindString})
-	if _, err := ds.CommitWithSchema(wide, []Row{{Int(0), String("a"), String("n")}}, []VersionID{ds.LatestVersion()}, "add note"); err != nil {
+	if _, err := ds.CommitWithSchema(context.Background(), wide, []Row{{Int(0), String("a"), String("n")}}, []VersionID{ds.LatestVersion()}, "add note"); err != nil {
 		t.Fatal(err)
 	}
 	if g := ds.CacheGeneration(); g == gen {

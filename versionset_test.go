@@ -1,6 +1,7 @@
 package orpheusdb
 
 import (
+	"context"
 	"sort"
 	"testing"
 )
@@ -49,26 +50,26 @@ func sameGenes(t *testing.T, name string, rows []Row, want ...string) {
 func TestMultiVersionCheckoutAPI(t *testing.T) {
 	_, ds, v := threeVersionStore(t)
 
-	rows, err := ds.MultiVersionCheckout([]VersionID{v[1], v[2]}, []SetOp{SetIntersect})
+	rows, err := ds.MultiVersionCheckout(context.Background(), []VersionID{v[1], v[2]}, []SetOp{SetIntersect})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameGenes(t, "v2∩v3", rows, "tp53")
 
-	rows, err = ds.MultiVersionCheckout([]VersionID{v[1], v[2]}, []SetOp{SetUnion})
+	rows, err = ds.MultiVersionCheckout(context.Background(), []VersionID{v[1], v[2]}, []SetOp{SetUnion})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameGenes(t, "v2∪v3", rows, "brca1", "tp53", "egfr", "myc")
 
-	rows, err = ds.MultiVersionCheckout([]VersionID{v[1], v[2]}, []SetOp{SetExcept})
+	rows, err = ds.MultiVersionCheckout(context.Background(), []VersionID{v[1], v[2]}, []SetOp{SetExcept})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameGenes(t, "v2∖v3", rows, "brca1", "egfr")
 
 	// Left-associative chain: (v2 ∪ v3) ∖ v1 = records not in v1.
-	rows, err = ds.MultiVersionCheckout(
+	rows, err = ds.MultiVersionCheckout(context.Background(),
 		[]VersionID{v[1], v[2], v[0]}, []SetOp{SetUnion, SetExcept})
 	if err != nil {
 		t.Fatal(err)
@@ -76,20 +77,20 @@ func TestMultiVersionCheckoutAPI(t *testing.T) {
 	sameGenes(t, "(v2∪v3)∖v1", rows, "brca1", "egfr", "myc")
 
 	// Single version degenerates to a membership checkout.
-	rows, err = ds.MultiVersionCheckout([]VersionID{v[2]}, nil)
+	rows, err = ds.MultiVersionCheckout(context.Background(), []VersionID{v[2]}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameGenes(t, "v3", rows, "tp53", "myc")
 
 	// Arity and existence errors.
-	if _, err := ds.MultiVersionCheckout([]VersionID{v[0], v[1]}, nil); err == nil {
+	if _, err := ds.MultiVersionCheckout(context.Background(), []VersionID{v[0], v[1]}, nil); err == nil {
 		t.Fatal("missing operator accepted")
 	}
-	if _, err := ds.MultiVersionCheckout([]VersionID{v[0], 99}, []SetOp{SetIntersect}); err == nil {
+	if _, err := ds.MultiVersionCheckout(context.Background(), []VersionID{v[0], 99}, []SetOp{SetIntersect}); err == nil {
 		t.Fatal("unknown version accepted")
 	}
-	if _, err := ds.MultiVersionCheckout(nil, nil); err == nil {
+	if _, err := ds.MultiVersionCheckout(context.Background(), nil, nil); err == nil {
 		t.Fatal("empty version list accepted")
 	}
 }
@@ -111,12 +112,12 @@ func TestMultiVersionCheckoutAllModels(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rows, err := ds.MultiVersionCheckout([]VersionID{v1, v2}, []SetOp{SetIntersect})
+			rows, err := ds.MultiVersionCheckout(context.Background(), []VersionID{v1, v2}, []SetOp{SetIntersect})
 			if err != nil {
 				t.Fatal(err)
 			}
 			sameGenes(t, "v1∩v2", rows, "b")
-			rows, err = ds.MultiVersionCheckout([]VersionID{v1, v2}, []SetOp{SetUnion})
+			rows, err = ds.MultiVersionCheckout(context.Background(), []VersionID{v1, v2}, []SetOp{SetUnion})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package orpheusdb
 
 import (
+	"context"
 	"fmt"
 	"path/filepath"
 	"strconv"
@@ -255,7 +256,7 @@ func TestFailedInstallReplaysOnReopen(t *testing.T) {
 	var calls atomic.Int32
 	s.loggedHook = func() {
 		if calls.Add(1) == 1 {
-			if _, err := d.cvd.Commit([]Row{{Int(7), String("r7")}}, []VersionID{v1}, "unlogged"); err != nil {
+			if _, err := d.cvd.Commit(context.Background(), []Row{{Int(7), String("r7")}}, []VersionID{v1}, "unlogged"); err != nil {
 				t.Error(err)
 			}
 		}

@@ -1,6 +1,7 @@
 package orpheusdb
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -37,7 +38,7 @@ func openWALStoreCfg(t *testing.T, dir string, cfg WALConfig) *Store {
 	t.Helper()
 	s, err := OpenStoreWithOptions(filepath.Join(dir, "store.odb"), StoreOptions{Backend: walTestBackend})
 	if err != nil {
-		t.Fatalf("OpenStore: %v", err)
+		t.Fatalf("OpenStoreWithOptions: %v", err)
 	}
 	s.SetSaveDelay(time.Hour)
 	if err := s.EnableWAL(cfg); err != nil {
@@ -133,7 +134,7 @@ func TestWALRecoveryNoCheckpoint(t *testing.T) {
 	}
 	v1 := mustCommit(t, d, nil, "v1", 1, 2, 3)
 	v2 := mustCommit(t, d, []VersionID{v1}, "v2", 2, 3, 4)
-	v3, err := d.CommitWithSchema(
+	v3, err := d.CommitWithSchema(context.Background(),
 		[]Column{{Name: "id", Type: KindInt}, {Name: "name", Type: KindString}, {Name: "score", Type: KindFloat}},
 		[]Row{{Int(5), String("r5"), Float(0.5)}},
 		[]VersionID{v2}, "v3 schema evolution")
@@ -209,6 +210,97 @@ func TestWALRecoveryNoCheckpoint(t *testing.T) {
 	}
 	if v4 != v3+1 {
 		t.Fatalf("post-recovery commit got version %d, want %d", v4, v3+1)
+	}
+}
+
+// TestCheckpointCountsBytesWritten: one checkpoint raises the checkpoint
+// count by one and the byte count by what it wrote: exactly the snapshot
+// file on the memory backend, the flushed pages on the disk backend.
+func TestCheckpointCountsBytesWritten(t *testing.T) {
+	for _, backend := range []BackendKind{BackendMemory, BackendDisk} {
+		t.Run(string(backend), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "store.odb")
+			s, err := OpenStoreWithOptions(path, StoreOptions{Backend: backend})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			s.SetSaveDelay(time.Hour)
+			d, err := s.Init("prot", protCols(), InitOptions{PrimaryKey: []string{"id"}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustCommit(t, d, nil, "v1", 1, 2, 3)
+			before := s.WALStatus()
+			if err := s.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			after := s.WALStatus()
+			if n := after.Checkpoints - before.Checkpoints; n != 1 {
+				t.Fatalf("one checkpoint counted %d times", n)
+			}
+			grew := after.CheckpointBytes - before.CheckpointBytes
+			if backend == BackendDisk {
+				if grew <= 0 {
+					t.Fatalf("disk checkpoint counted %d bytes, want > 0", grew)
+				}
+				return
+			}
+			fi, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if grew != fi.Size() {
+				t.Fatalf("memory checkpoint counted %d bytes, snapshot file has %d", grew, fi.Size())
+			}
+		})
+	}
+}
+
+// TestCloseClosesWAL: on either backend Close checkpoints and closes the
+// WAL the store owns, so a later CloseWAL is a no-op, and the store reopens
+// with its commits.
+func TestCloseClosesWAL(t *testing.T) {
+	for _, backend := range []BackendKind{BackendMemory, BackendDisk} {
+		t.Run(string(backend), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "store.odb")
+			open := func() *Store {
+				s, err := OpenStoreWithOptions(path, StoreOptions{Backend: backend})
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.SetSaveDelay(time.Hour)
+				if err := s.EnableWAL(WALConfig{Policy: FsyncAlways}); err != nil {
+					t.Fatal(err)
+				}
+				return s
+			}
+			s := open()
+			d, err := s.Init("prot", protCols(), InitOptions{PrimaryKey: []string{"id"}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			v1 := mustCommit(t, d, nil, "v1", 1, 2, 3)
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if s.WALEnabled() {
+				t.Fatal("WAL still attached after Close")
+			}
+			if err := s.CloseWAL(); err != nil {
+				t.Fatalf("CloseWAL after Close: %v", err)
+			}
+
+			r := open()
+			defer r.Close()
+			rd, err := r.Dataset("prot")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rows, err := rd.Checkout(v1); err != nil || len(rows) != 3 {
+				t.Fatalf("checkout after reopen: %d rows, %v", len(rows), err)
+			}
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package orpheusdb
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -63,8 +64,9 @@ type WALConfig struct {
 // EnableWAL attaches a write-ahead log to the store and runs crash recovery:
 // any log records the current state does not reflect (their LSN is beyond
 // the loaded snapshot's watermark) are replayed, reconstructing every
-// acknowledged mutation. Call it immediately after OpenStore, before the
-// store is shared; it is not safe to enable concurrently with mutations.
+// acknowledged mutation. Call it immediately after OpenStoreWithOptions,
+// before the store is shared; it is not safe to enable concurrently with
+// mutations.
 // A store without a path (NewStore) may still enable a WAL with an explicit
 // Dir, making the log the sole persistence mechanism.
 func (s *Store) EnableWAL(cfg WALConfig) error {
@@ -120,7 +122,7 @@ func (s *Store) EnableWAL(cfg WALConfig) error {
 	if replayed > 0 && s.path != "" {
 		// Fold the replayed tail into a fresh snapshot soon so the next
 		// recovery starts closer to the tail.
-		s.ScheduleSave()
+		s.scheduleSave()
 	}
 	return nil
 }
@@ -160,7 +162,7 @@ func (s *Store) logMutation(rec *wal.Record) error {
 		s.saveMu.Lock()
 		s.walErr = err
 		s.saveMu.Unlock()
-		s.ScheduleSave()
+		s.scheduleSave()
 		return fmt.Errorf("orpheusdb: %w", err)
 	}
 	return nil
@@ -246,30 +248,19 @@ func (s *Store) invalidateCache(rec *wal.Record) {
 
 // replayRecord is applyRecord for crash recovery, which also reads logs an
 // older version wrote. An init record naming a data model the store no
-// longer serves cannot be replayed: the dataset is set aside, its later
-// records are skipped until a drop, and opening it reports the init error.
-// The store's other datasets replay as usual.
+// longer serves cannot be replayed: the dataset is set aside as a catalog
+// row naming that model (core.SetAside), so opening it reports
+// ErrUnservedModel, and its later records are skipped until a drop removes
+// the row. The store's other datasets replay as usual.
 func (s *Store) replayRecord(rec *wal.Record) error {
-	s.mu.Lock()
-	_, unserved := s.unserved[rec.Dataset]
-	if unserved && rec.Type == wal.TypeDrop {
-		delete(s.unserved, rec.Dataset)
-	}
-	s.mu.Unlock()
-	if unserved && rec.Type != wal.TypeInit {
-		return nil
-	}
 	err := s.applyRecord(rec)
-	if rec.Type == wal.TypeInit && errors.Is(err, core.ErrUnservedModel) {
-		s.mu.Lock()
-		if s.unserved == nil {
-			s.unserved = make(map[string]error)
-		}
-		s.unserved[rec.Dataset] = err
-		s.mu.Unlock()
-		return nil
+	if !errors.Is(err, core.ErrUnservedModel) {
+		return err
 	}
-	return err
+	if rec.Type == wal.TypeInit {
+		return core.SetAside(s.db, rec.Dataset, core.ModelKind(rec.Model), rec.PrimaryKey)
+	}
+	return nil
 }
 
 // applyRecord replays one WAL record against the store. It runs during
@@ -298,6 +289,11 @@ func (s *Store) applyRecord(rec *wal.Record) error {
 		return nil
 	case wal.TypeDrop:
 		d, err := s.dataset(rec.Dataset)
+		if errors.Is(err, core.ErrUnservedModel) {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			return core.DropSetAside(s.db, rec.Dataset)
+		}
 		if err != nil {
 			return err
 		}
@@ -454,20 +450,21 @@ func (s *Store) replayCommit(rec *wal.Record) error {
 	var vid VersionID
 	switch rec.Type {
 	case wal.TypeCommit:
-		vid, err = cvd.Commit(rec.Rows, parents, rec.Msg)
-	case wal.TypeCommitSchema:
-		vid, err = cvd.CommitWithSchema(rec.Cols, rec.Rows, parents, rec.Msg)
-	case wal.TypeCommitTable:
-		// The staged table was consumed by the original commit; a stale
+		vid, err = cvd.Commit(context.TODO(), rec.Rows, parents, rec.Msg)
+	case wal.TypeCommitSchema, wal.TypeCommitTable:
+		// A staged table was consumed by the original commit; a stale
 		// copy may survive in an older snapshot. The record carries the
 		// materialized rows, so drop the leftover and commit those.
-		if s.db.HasTable(rec.Table) {
+		if rec.Type == wal.TypeCommitTable && s.db.HasTable(rec.Table) {
 			if err := s.db.DropTable(rec.Table); err != nil {
 				return err
 			}
 			_ = core.ReleaseProvenance(s.db, rec.Table)
 		}
-		vid, err = cvd.CommitWithSchema(rec.Cols, rec.Rows, parents, rec.Msg)
+		var p *core.CommitPlan
+		if p, err = cvd.CommitWithSchema(context.TODO(), rec.Cols, rec.Rows, parents, rec.Msg); err == nil {
+			vid = p.Vid
+		}
 	}
 	if err != nil {
 		return err
@@ -502,7 +499,7 @@ type WALStatus struct {
 	Segments      int    `json:"segments"`
 	SizeBytes     int64  `json:"sizeBytes"`
 	// Checkpoints and CheckpointBytes mirror the engine's cumulative
-	// checkpoint counters (count and estimated snapshot bytes).
+	// checkpoint counters (count and bytes written by checkpoints).
 	Checkpoints     int64 `json:"checkpoints"`
 	CheckpointBytes int64 `json:"checkpointBytes"`
 	// AppendError reports a WAL that stopped accepting records (the store
@@ -547,24 +544,13 @@ func (s *Store) WALStatus() WALStatus {
 	return st
 }
 
-// Checkpoint persists a snapshot now and truncates the log segments it made
-// obsolete — the synchronous form of what the debounced save does
-// continuously. No-op for in-memory stores (their WAL is the persistence).
-func (s *Store) Checkpoint() error { return s.Save() }
-
-// SyncWAL forces an fsync of the active log segment (useful under
-// FsyncInterval/FsyncOff before handing files to another process).
-func (s *Store) SyncWAL() error {
-	if s.wal == nil {
-		return nil
-	}
-	return s.wal.Sync()
-}
-
 // CloseWAL detaches and closes the log (final fsync included). The store
 // remains usable but subsequent mutations are checkpoint-durable only.
-// Flush first if the log should be fully absorbed into the snapshot.
+// Flush first if the log should be fully absorbed into the snapshot; Close
+// does both.
 func (s *Store) CloseWAL() error {
+	s.diskMu.Lock()
+	defer s.diskMu.Unlock()
 	if s.wal == nil {
 		return nil
 	}
